@@ -174,9 +174,8 @@ class Backend(abc.ABC):
         exact readout enumerates the output space are much cheaper when
         only samples are needed, and modelling that keeps the router from
         over-charging them for sampled fragments.  Units are arbitrary but
-        must be comparable across backends.  Implementations written
-        before the mode split (single-argument signatures) are still
-        accepted by the router.
+        must be comparable across backends.  The router always passes
+        ``mode`` by keyword, so overrides must accept it.
         """
         return float(features.num_ops + 1) * float(features.n_qubits + 1)
 

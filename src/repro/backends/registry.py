@@ -1,7 +1,7 @@
 """The backend registry: string names usable everywhere a backend is.
 
 ``register_backend("mps", factory)`` makes ``get_backend("mps")`` — and
-therefore ``SuperSim(backend="mps")``, the benchmark CLIs and the apps —
+therefore ``ExecutionConfig(backend="mps")``, the benchmark CLIs and the apps —
 construct that backend on demand.  Factories (not instances) are stored so
 every caller gets a fresh, independently configurable backend; passing an
 already-built :class:`~repro.backends.base.Backend` through

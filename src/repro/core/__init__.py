@@ -41,6 +41,7 @@ from repro.errors import (
     BackendExecutionError,
     FaultEvent,
     FaultReport,
+    InvalidRequestError,
     JobTimeoutError,
     ReproError,
     WorkerCrashError,
@@ -67,6 +68,7 @@ __all__ = [
     "SweepResult",
     "ReproError",
     "BackendExecutionError",
+    "InvalidRequestError",
     "JobTimeoutError",
     "WorkerCrashError",
     "FaultEvent",

@@ -1,10 +1,13 @@
-"""The SuperSim facade: a staged plan→execute pipeline (paper §V).
+"""The SuperSim facade: one plan → evaluate → read-out pipeline (paper §V).
 
-The paper's workflow is inherently staged — cut placement, fragment
-variant evaluation, tomography, reconstruction — and the API mirrors it.
-``plan()`` makes every decision without simulating anything; the returned
-:class:`~repro.core.plan.ExecutionPlan` can be inspected, cost-estimated,
-overridden, and finally executed::
+Every entry point runs the paper's sequence the same way: ``plan()`` cuts
+the circuit and routes every fragment without simulating anything; one
+evaluate step checks the request against the plan (a bad qubit, window or
+bitstring fails before any work is done) and simulates every fragment
+variant once under the plan's backends; a read-out step then builds the
+answer from the evaluated fragments — the distribution (``run`` /
+``execute`` / ``sweep``), marginals over windows, a sparse distribution,
+or one bitstring's probability::
 
     from repro.core import SuperSim
 
@@ -16,19 +19,13 @@ overridden, and finally executed::
     result.distribution               # reconstructed output distribution
     result.timings                    # per-stage wall-clock breakdown
 
-``run(circuit)`` is simply ``plan(circuit).execute()`` — the one-shot path
-stays one line.  Configuration travels in three typed objects instead of
-loose kwargs (:class:`~repro.core.config.CutConfig`,
-:class:`~repro.core.config.SamplingConfig`,
-:class:`~repro.core.config.ExecutionConfig`)::
+``run(circuit)`` is simply ``plan(circuit).execute()``.  Configuration
+travels in the typed objects of :mod:`repro.core.config`::
 
     sim = SuperSim(
         sampling=SamplingConfig(shots=4000, seed=7),
         execution=ExecutionConfig(backend="mps", parallel=4),
     )
-
-The old flat kwargs (``SuperSim(shots=4000, backend="mps")``) still work
-as a deprecation shim that maps onto the configs and warns once.
 
 Parameter sweeps — the dominant VQE/QAOA workload (§VII) — batch through
 :meth:`SuperSim.sweep` / :meth:`SuperSim.run_many`: planning artifacts
@@ -40,6 +37,7 @@ re-simulated.
 
 from __future__ import annotations
 
+import contextlib
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -56,12 +54,11 @@ from repro.core.config import (
     ExecutionConfig,
     ReconstructionConfig,
     SamplingConfig,
-    configs_from_legacy_kwargs,
 )
 from repro.core.cutter import plan_cuts
 from repro.core.evaluator import FragmentEvaluator, SharedExecutorPool
 from repro.core.fragments import Cut, CutCircuit
-from repro.errors import FaultReport
+from repro.errors import FaultReport, InvalidRequestError
 from repro.core.plan import CostEstimate, ExecutionPlan, FragmentPlan, SweepResult
 from repro.core.reconstruction import (
     ReconstructionStats,
@@ -84,16 +81,13 @@ class SuperSimResult:
     """Reconstructed output plus diagnostics.
 
     ``timings`` always carries all four stage keys (``cut``, ``evaluate``,
-    ``tomography``, ``reconstruct`` — 0.0 for stages that did no work,
-    e.g. tomography on a fully-cached run) plus the variant-cache counters
-    of this run (``cache_hits`` / ``cache_misses``) and one
-    ``kernel.<name>`` entry per :mod:`repro.kernels` kernel that ran
-    during execution (seconds spent inside that kernel, across all
-    stages).  ``kernel_tier`` records the kernel tier the run dispatched
-    to (``numpy`` / ``numba`` / ``cupy``); ``backend_usage`` counts the
-    variants actually *simulated* per backend name this run (cache hits
-    and within-run duplicates excluded, so a fully cached run reports an
-    empty mapping).
+    ``tomography``, ``reconstruct``; 0.0 for a stage that did no work),
+    the run's variant-cache counters (``cache_hits`` / ``cache_misses``)
+    and one ``kernel.<name>`` entry of seconds per :mod:`repro.kernels`
+    kernel that ran.  ``kernel_tier`` is the tier the run dispatched to
+    (``numpy`` / ``numba`` / ``cupy``); ``backend_usage`` counts the
+    variants actually *simulated* per backend name (cache hits and
+    within-run duplicates excluded).
 
     ``faults`` is the run's :class:`~repro.errors.FaultReport` — every
     fault the engine survived on the way to this result (retries,
@@ -168,6 +162,29 @@ def _call_factory(factory, params):
     return factory(params)
 
 
+def _assignments(plan: ExecutionPlan) -> dict:
+    """The plan's routing as ``{fragment index: backend}``."""
+    return {f.index: b for f, b in zip(plan.cut_circuit.fragments, plan._backends)}
+
+
+def _kept_locals(cc: CutCircuit, qubits) -> list[list[int]]:
+    """Per fragment: the local qubits of its circuit outputs among ``qubits``."""
+    keep = set(qubits)
+    return [
+        [lq for oq, lq in fragment.circuit_outputs if oq in keep]
+        for fragment in cc.fragments
+    ]
+
+
+def _check_qubits(qubits, known, where: str) -> None:
+    """Reject qubits outside ``known`` and repeated qubits."""
+    unknown = [q for q in qubits if q not in known]
+    if unknown:
+        raise InvalidRequestError(f"qubits {unknown} are not {where}")
+    if len(set(qubits)) != len(qubits):
+        raise InvalidRequestError(f"duplicate qubits in {list(qubits)}")
+
+
 class SuperSim:
     """Clifford-based circuit cutting simulator.
 
@@ -191,11 +208,9 @@ class SuperSim:
         output width fits ``max_dense_bits`` and switches to recursive
         beyond, so wide circuits return top-k answers instead of dying in
         a ``2**width`` allocation.
-    **legacy_kwargs:
-        The pre-pipeline flat kwargs (``shots=``, ``backend=``, ``rng=``,
-        ...) are still accepted and mapped onto the configs; using any of
-        them emits a single :class:`DeprecationWarning` naming the new
-        home of each.
+
+    Anything but the matching config object (or ``None`` for its
+    defaults) raises :class:`TypeError`.
     """
 
     name = "supersim"
@@ -206,30 +221,23 @@ class SuperSim:
         sampling: SamplingConfig | None = None,
         execution: ExecutionConfig | None = None,
         reconstruction: ReconstructionConfig | None = None,
-        **legacy_kwargs,
     ):
-        cut, sampling, execution, legacy_used = configs_from_legacy_kwargs(
-            legacy_kwargs, cut=cut, sampling=sampling, execution=execution
-        )
-        if reconstruction is None:
-            reconstruction = ReconstructionConfig()
-        elif not isinstance(reconstruction, ReconstructionConfig):
-            raise TypeError(
-                f"expected a ReconstructionConfig instance, got {reconstruction!r}"
-            )
-        if legacy_used:
-            warnings.warn(
-                f"SuperSim({', '.join(f'{k}=' for k in legacy_used)}) uses "
-                "legacy flat kwargs; pass CutConfig/SamplingConfig/"
-                "ExecutionConfig objects instead (see repro.core.config)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.cut_config = cut
-        self.sampling = sampling
-        self.execution = execution
-        self.reconstruction = reconstruction
-        self.variant_cache: VariantCache | None = resolve_cache(execution.cache)
+        configs = []
+        for value, kind in (
+            (cut, CutConfig),
+            (sampling, SamplingConfig),
+            (execution, ExecutionConfig),
+            (reconstruction, ReconstructionConfig),
+        ):
+            if value is None:
+                value = kind()
+            elif not isinstance(value, kind):
+                raise TypeError(
+                    f"expected a {kind.__name__} instance, got {value!r}"
+                )
+            configs.append(value)
+        self.cut_config, self.sampling, self.execution, self.reconstruction = configs
+        self.variant_cache: VariantCache | None = resolve_cache(self.execution.cache)
         #: executor shared across batch points while a sweep is active
         self._batch_executor = None
         self._batch_executor_kind: str | None = None
@@ -240,68 +248,6 @@ class SuperSim:
         self._job_runner = None
         #: resources adopted for deterministic shutdown via close()
         self._owned_resources: list = []
-
-    # -- legacy attribute surface (read-only views onto the configs) ---------
-
-    @property
-    def shots(self):
-        return self.sampling.shots
-
-    @property
-    def clifford_shots(self):
-        return self.sampling.clifford_shots
-
-    @property
-    def snap_clifford(self):
-        return self.sampling.snap_clifford
-
-    @property
-    def tomography(self):
-        return self.sampling.tomography
-
-    @property
-    def noise(self):
-        return self.sampling.noise
-
-    @property
-    def rng(self):
-        return self.sampling.seed
-
-    @property
-    def strategy(self):
-        return self.cut_config.strategy
-
-    @property
-    def max_cuts(self):
-        return self.cut_config.max_cuts
-
-    @property
-    def prune_zeros(self):
-        return self.execution.prune_zeros
-
-    @property
-    def backend(self):
-        return self.execution.backend
-
-    @property
-    def router(self):
-        return self.execution.router
-
-    @property
-    def nonclifford_backend(self):
-        return self.execution.nonclifford_backend
-
-    @property
-    def pool(self):
-        return self.execution.pool
-
-    @property
-    def parallel(self):
-        return self.execution.parallel
-
-    @property
-    def statevector_max_qubits(self):
-        return self.execution.statevector_max_qubits
 
     # -- pipeline pieces ------------------------------------------------------
 
@@ -350,50 +296,43 @@ class SuperSim:
         cut circuit, each fragment's enumerated variant count, the backend
         the router assigned it, and the evaluation mode; inspect it, price
         it with ``estimate()``, override it with ``with_cuts(...)`` /
-        ``with_backend(...)``, then ``execute()``.
+        ``with_backend(...)``, then ``execute()``.  ``keep_qubits`` naming
+        a qubit twice or one the circuit does not have raises
+        :class:`~repro.errors.InvalidRequestError`.
         """
         if keep_qubits is None:
             keep_qubits = list(circuit.measured_qubits)
+        where = f"in the {circuit.n_qubits}-qubit circuit"
+        _check_qubits(keep_qubits, range(circuit.n_qubits), where)
         start = time.perf_counter()
         cc = self.cut(circuit, cuts)
         evaluator = self._evaluator()
-        backends = []
-        modes = []
-        exact = self.sampling.exact
-        for fragment in cc.fragments:
-            backend, noisy = evaluator._backend_for(fragment)
-            backends.append(backend)
-            modes.append("noisy" if noisy else ("exact" if exact else "sampled"))
-        planning_seconds = time.perf_counter() - start
+        routes = [evaluator._backend_for(fragment) for fragment in cc.fragments]
+        mode = "exact" if self.sampling.exact else "sampled"
         return ExecutionPlan(
             circuit=circuit,
             cut_circuit=cc,
             keep_qubits=tuple(keep_qubits),
-            backend_names=tuple(b.name for b in backends),
-            fragment_modes=tuple(modes),
-            planning_seconds=planning_seconds,
+            backend_names=tuple(backend.name for backend, _ in routes),
+            fragment_modes=tuple("noisy" if noisy else mode for _, noisy in routes),
+            planning_seconds=time.perf_counter() - start,
             _sim=self,
-            _backends=tuple(backends),
+            _backends=tuple(backend for backend, _ in routes),
         )
 
     def _estimate_plan(self, plan: ExecutionPlan) -> CostEstimate:
         """Dry-run pricing of a plan (see :meth:`ExecutionPlan.estimate`)."""
-        assignments = {
-            f.index: b for f, b in zip(plan.cut_circuit.fragments, plan._backends)
-        }
-        evaluator = self._evaluator(assignments=assignments)
+        evaluator = self._evaluator(assignments=_assignments(plan))
         router = evaluator.router
         fragment_plans = []
-        total = 0.0
         for fragment, backend, mode in zip(
             plan.cut_circuit.fragments, plan._backends, plan.fragment_modes
         ):
-            features = CircuitFeatures.from_circuit(fragment.circuit)
             per_variant = router.scored_cost(
-                backend, features, mode="exact" if mode == "exact" else "sampled"
+                backend,
+                CircuitFeatures.from_circuit(fragment.circuit),
+                mode="exact" if mode == "exact" else "sampled",
             )
-            cost = per_variant * fragment.num_variants
-            total += cost
             fragment_plans.append(
                 FragmentPlan(
                     index=fragment.index,
@@ -402,7 +341,7 @@ class SuperSim:
                     backend=backend.name,
                     mode=mode,
                     is_clifford=fragment.is_clifford,
-                    cost=cost,
+                    cost=per_variant * fragment.num_variants,
                 )
             )
         stats = evaluator.dry_run(plan.cut_circuit.fragments)
@@ -416,7 +355,7 @@ class SuperSim:
         )
         return CostEstimate(
             fragments=tuple(fragment_plans),
-            total_cost=total + reconstruction_cost,
+            total_cost=sum(f.cost for f in fragment_plans) + reconstruction_cost,
             num_variants=stats["jobs"],
             unique_variants=stats["unique_jobs"],
             cached_variants=stats["cached_jobs"],
@@ -426,15 +365,70 @@ class SuperSim:
             reconstruction_cost=reconstruction_cost,
         )
 
-    # -- execute stage ---------------------------------------------------------
+    # -- evaluate stage ---------------------------------------------------------
 
-    def _resolve_reconstruction_mode(self, keep_qubits) -> str:
-        """The engine ``execute()`` will run for this output width."""
-        mode = self.reconstruction.mode
-        if mode == "auto":
-            wide = len(keep_qubits) > self.reconstruction.max_dense_bits
-            return "recursive" if wide else "full"
-        return mode
+    def _evaluate(self, plan: ExecutionPlan, windows=(), outcome=None):
+        """Stage 2 of every entry point: check the request, then simulate.
+
+        ``windows`` (each non-empty, duplicate-free, within
+        ``plan.keep_qubits`` and dense-accumulator sized) and ``outcome``
+        (one 0/1 bit per kept qubit) are checked before anything is
+        simulated.  Every fragment variant is then evaluated once under the
+        plan's backends, through the service's job runner when one is set.
+        Returns ``(evaluator, fragment_data)``; the evaluator holds the
+        run's cache counters, backend usage and fault ledger.
+        """
+        keep = set(plan.keep_qubits)
+        for window in windows:
+            if not window:
+                raise InvalidRequestError("empty readout window")
+            _check_qubits(window, keep, "in keep_qubits")
+            check_dense_width(len(window), self.reconstruction.max_dense_bits)
+        if outcome is not None and len(outcome) != len(keep):
+            raise InvalidRequestError("bitstring length does not match measured qubits")
+        if outcome is not None and not set(outcome) <= {0, 1}:
+            raise InvalidRequestError(f"outcome bits must be 0 or 1, got {outcome}")
+        evaluator = self._evaluator(assignments=_assignments(plan))
+        fragment_data = evaluator.evaluate_all(
+            plan.cut_circuit.fragments, job_runner=self._job_runner
+        )
+        return evaluator, fragment_data
+
+    # -- read-out stage ----------------------------------------------------------
+
+    def _tensor(self, data, kept: list[int]) -> np.ndarray:
+        """One fragment's dense tomography tensor over local qubits ``kept``."""
+        return build_fragment_tensor(
+            data,
+            kept,
+            snap_clifford=self.sampling.snap_clifford,
+            project=self.sampling.tomography and self.sampling.shots is not None,
+        )
+
+    def _read_window(self, cc: CutCircuit, fragment_data, window, timings: dict):
+        """Tomography and dense contraction over one window of kept qubits.
+
+        Serves full mode (every kept qubit), windowed mode and each
+        :meth:`marginal_probabilities` window; writes the two stage times
+        into ``timings``.  Returns ``(raw, stats)``.
+        """
+        start = time.perf_counter()
+        kept_locals = _kept_locals(cc, window)
+        tensors = [
+            self._tensor(data, kept) for data, kept in zip(fragment_data, kept_locals)
+        ]
+        timings["tomography"] = time.perf_counter() - start
+        start = time.perf_counter()
+        raw, stats = reconstruct_distribution(
+            cc,
+            tensors,
+            kept_locals,
+            list(window),
+            prune_zeros=self.execution.prune_zeros,
+            max_dense_bits=self.reconstruction.max_dense_bits,
+        )
+        timings["reconstruct"] = time.perf_counter() - start
+        return raw, stats
 
     def _dynamic_tensor_builder(self, cc: CutCircuit, fragment_data):
         """The (window, fixed) -> (tensors, kept_locals) callback of
@@ -447,45 +441,32 @@ class SuperSim:
         fixed bits agree, so results are memoised per
         ``(fragment, window, fixed)``.
         """
-        project = self.sampling.tomography and self.sampling.shots is not None
         snap = self.sampling.snap_clifford
         memo: dict[tuple, np.ndarray] = {}
 
         def build(window, fixed):
-            window_set = set(window)
+            kept_locals = _kept_locals(cc, window)
             tensors = []
-            kept_locals = []
-            for fragment, data in zip(cc.fragments, fragment_data):
-                kept = [lq for oq, lq in fragment.circuit_outputs if oq in window_set]
+            for fragment, data, kept in zip(cc.fragments, fragment_data, kept_locals):
                 fixed_locals = {
-                    lq: fixed[oq]
-                    for oq, lq in fragment.circuit_outputs
-                    if oq in fixed
+                    lq: fixed[oq] for oq, lq in fragment.circuit_outputs if oq in fixed
                 }
-                key = (
-                    fragment.index,
-                    tuple(kept),
-                    tuple(sorted(fixed_locals.items())),
-                )
-                tensor = memo.get(key)
-                if tensor is None:
-                    if fixed_locals:
-                        tensor = build_conditioned_fragment_tensor(
+                key = (fragment.index, tuple(kept), tuple(sorted(fixed_locals.items())))
+                if key not in memo:
+                    memo[key] = (
+                        build_conditioned_fragment_tensor(
                             data, kept, fixed_locals, snap_clifford=snap
                         )
-                    else:
-                        tensor = build_fragment_tensor(
-                            data, kept, snap_clifford=snap, project=project
-                        )
-                    memo[key] = tensor
-                tensors.append(tensor)
-                kept_locals.append(kept)
+                        if fixed_locals
+                        else self._tensor(data, kept)
+                    )
+                tensors.append(memo[key])
             return tensors, kept_locals
 
         return build
 
     def _execute_plan(self, plan: ExecutionPlan) -> SuperSimResult:
-        """Stages 2–4: evaluate variants, build tensors, reconstruct.
+        """Stages 2–4: evaluate once, then read out the distribution.
 
         The reconstruction engine follows ``self.reconstruction`` (see
         :class:`~repro.core.config.ReconstructionConfig`): dense full
@@ -496,43 +477,37 @@ class SuperSim:
         up front), so ``timings["tomography"]`` reads 0.0 there.
         """
         cc = plan.cut_circuit
+        rc = self.reconstruction
+        keep = list(plan.keep_qubits)
+        mode = rc.mode
+        if mode == "auto":
+            mode = "recursive" if len(keep) > rc.max_dense_bits else "full"
+        window = keep
+        if mode == "windowed":
+            window = keep[: rc.qubit_limit] if rc.window is None else list(rc.window)
+        elif mode == "full":
+            # guard BEFORE simulating: on wide circuits the per-fragment
+            # dense tensors (2**kept_bits per variant) blow up first,
+            # long before the final accumulator would
+            check_dense_width(len(keep), rc.max_dense_bits)
+
         timings: dict[str, float] = {"cut": plan.planning_seconds}
         kernel_snapshot = _kernels.counters_snapshot()
         demotions_before = len(_kernels.demotions())
-        assignments = {f.index: b for f, b in zip(cc.fragments, plan._backends)}
-
-        def collect_faults(evaluator) -> FaultReport:
-            # the evaluator's ledger plus any kernel-tier demotions that
-            # happened anywhere in this run (evaluate through reconstruct)
-            faults = FaultReport()
-            faults.extend(evaluator.faults)
-            for kname, tier, err in _kernels.demotions()[demotions_before:]:
-                faults.record(
-                    "kernel_demotion", detail=f"kernel {kname} [{tier}]: {err}"
-                )
-            return faults
-
         start = time.perf_counter()
-        evaluator = self._evaluator(assignments=assignments)
-        fragment_data = evaluator.evaluate_all(
-            cc.fragments, job_runner=self._job_runner
+        evaluator, fragment_data = self._evaluate(
+            plan, [window] if mode == "windowed" else []
         )
         timings["evaluate"] = time.perf_counter() - start
         timings["cache_hits"] = float(evaluator.last_stats.get("cache_hits", 0))
         timings["cache_misses"] = float(evaluator.last_stats.get("cache_misses", 0))
-        backend_usage = dict(evaluator.last_stats.get("backends", {}))
-
-        rc = self.reconstruction
-        mode = self._resolve_reconstruction_mode(plan.keep_qubits)
 
         if mode == "recursive":
-            timings["tomography"] = 0.0
             start = time.perf_counter()
-            builder = self._dynamic_tensor_builder(cc, fragment_data)
             raw, stats = reconstruct_dynamic(
                 cc,
-                builder,
-                list(plan.keep_qubits),
+                self._dynamic_tensor_builder(cc, fragment_data),
+                keep,
                 qubit_limit=rc.qubit_limit,
                 top_k=rc.top_k,
                 recursion_depth=rc.recursion_depth,
@@ -544,85 +519,34 @@ class SuperSim:
             # do NOT renormalise — the missing mass is real information
             # (stats.covered_probability reports it)
             positive = raw.values_array > 0
-            cleaned = Distribution.from_arrays(
+            distribution = Distribution.from_arrays(
                 raw.n_bits,
                 raw.keys_array[positive],
                 raw.values_array[positive],
                 assume_sorted=True,
             )
-            for name, secs in _kernels.timings_since(kernel_snapshot).items():
-                timings[f"kernel.{name}"] = secs
-            return SuperSimResult(
-                distribution=cleaned,
-                cut_circuit=cc,
-                stats=stats,
-                timings=timings,
-                raw_distribution=raw,
-                backend_usage=backend_usage,
-                kernel_tier=_kernels.active_tier(),
-                faults=collect_faults(evaluator),
-            )
-
-        if mode == "windowed":
-            window = rc.window
-            if window is None:
-                window = tuple(plan.keep_qubits[: rc.qubit_limit])
-            unknown = [q for q in window if q not in set(plan.keep_qubits)]
-            if unknown:
-                raise ValueError(
-                    f"window qubits {unknown} are not in keep_qubits"
-                )
-            target_qubits = list(window)
         else:
-            # guard BEFORE tomography: on wide circuits the per-fragment
-            # dense tensors (2**kept_bits per variant) blow up first,
-            # long before the final accumulator would
-            check_dense_width(len(plan.keep_qubits), rc.max_dense_bits)
-            target_qubits = list(plan.keep_qubits)
+            raw, stats = self._read_window(cc, fragment_data, window, timings)
+            stats.mode = mode
+            distribution = raw.clipped() if len(raw) else raw
 
-        start = time.perf_counter()
-        keep_set = set(target_qubits)
-        kept_locals: list[list[int]] = []
-        for fragment in cc.fragments:
-            kept_locals.append(
-                [lq for oq, lq in fragment.circuit_outputs if oq in keep_set]
-            )
-        tensors = [
-            build_fragment_tensor(
-                data,
-                kept,
-                snap_clifford=self.sampling.snap_clifford,
-                project=self.sampling.tomography and self.sampling.shots is not None,
-            )
-            for data, kept in zip(fragment_data, kept_locals)
-        ]
-        timings["tomography"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        raw, stats = reconstruct_distribution(
-            cc,
-            tensors,
-            kept_locals,
-            target_qubits,
-            prune_zeros=self.execution.prune_zeros,
-            max_dense_bits=rc.max_dense_bits,
-        )
-        if mode == "windowed":
-            stats.mode = "windowed"
-        timings["reconstruct"] = time.perf_counter() - start
-
-        cleaned = raw.clipped() if len(raw) else raw
         for name, secs in _kernels.timings_since(kernel_snapshot).items():
             timings[f"kernel.{name}"] = secs
+        # the evaluator's ledger plus any kernel-tier demotions that
+        # happened anywhere in this run (evaluate through reconstruct)
+        faults = FaultReport()
+        faults.extend(evaluator.faults)
+        for kname, tier, err in _kernels.demotions()[demotions_before:]:
+            faults.record("kernel_demotion", detail=f"kernel {kname} [{tier}]: {err}")
         return SuperSimResult(
-            distribution=cleaned,
+            distribution=distribution,
             cut_circuit=cc,
             stats=stats,
             timings=timings,
             raw_distribution=raw,
-            backend_usage=backend_usage,
+            backend_usage=dict(evaluator.last_stats.get("backends", {})),
             kernel_tier=_kernels.active_tier(),
-            faults=collect_faults(evaluator),
+            faults=faults,
         )
 
     # -- main entry points --------------------------------------------------------
@@ -650,47 +574,33 @@ class SuperSim:
         """Stream results of ``circuit_factory`` over a parameter grid.
 
         The paper's dominant workload (§VII): VQE/QAOA sweeps re-run one
-        circuit shape under many parameter points.  Each grid point is
-        planned and executed with everything shareable shared — the
-        variant cache (identical fragments, in particular the wide
-        Clifford bulk, are simulated once across the whole sweep), the
-        worker pool (one executor spans all points instead of one per
-        run), and with ``reuse_cuts=True`` (default) the cut locations
-        found for the first point (falling back to a fresh search if they
-        do not transfer).
-
-        ``circuit_factory`` is called once per grid point — with ``**p``
-        for dict points, ``*p`` for tuple points, else ``factory(p)`` —
+        circuit shape under many parameter points.  Every point shares the
+        variant cache (the wide Clifford bulk is simulated once per sweep),
+        the worker pool, and with ``reuse_cuts=True`` (default) the first
+        non-empty cut set found.  ``circuit_factory`` is called once per
+        point — ``**p`` for dict points, ``*p`` for tuples, else ``(p)`` —
         and must return a :class:`~repro.circuits.circuit.Circuit`.
         Yields :class:`~repro.core.plan.SweepResult` records as each point
-        completes.  Exact-mode sweep distributions are bit-identical to
-        independent ``run()`` calls unconditionally.  Seeded sampled-mode
-        sweeps reproduce independent seeded runs bit-for-bit *when the
-        reused plan matches what an independent run would plan* — the
-        normal case, since per-variant seeds derive from the root seed and
-        variant fingerprints, never from batch order; the exception is a
-        grid whose points change which gates are Clifford (e.g. a
-        parameterised gate hitting — or leaving — an exactly-Clifford
-        angle), where the adopted cut set keeps the plan and the sampled
-        estimator consistent across the sweep but differs from what an
-        independent run would plan at those points.  Pass
-        ``reuse_cuts=False`` to re-plan every point and recover
-        unconditional equivalence.
+        completes.
+
+        Exact sweeps are bit-identical to independent ``run()`` calls.
+        Seeded sampled sweeps are too whenever the reused cut set is what
+        an independent run would plan (per-variant seeds derive from the
+        root seed and variant fingerprints, never from batch order); a
+        grid whose points change which gates are Clifford can break that,
+        and ``reuse_cuts=False`` re-plans every point to restore it.
 
         A point whose shared cut set does not transfer is re-planned from
-        scratch — no longer silently: its :class:`SweepResult` carries a
-        ``degradation`` note and the result's fault report a ``replan``
-        event.  Under ``failure_policy="retry"`` / ``"degrade"`` a point
-        that still fails after the engine's own fault tolerance yields
-        ``SweepResult(result=None, error=exc)`` instead of killing the
-        sweep (``"raise"``, the default, propagates as before).
+        scratch: its :class:`SweepResult` carries a ``degradation`` note
+        and its fault report a ``replan`` event.  Under
+        ``failure_policy="retry"`` / ``"degrade"`` a point that still
+        fails yields ``SweepResult(result=None, error=exc)`` instead of
+        ending the sweep (``"raise"``, the default, propagates).
 
-        ``checkpoint`` names a JSON-lines file recording completed point
-        indices: each successful point appends one line, and a re-run with
-        the same file skips those points (yielding ``skipped=True``
-        records) — resuming an interrupted sweep re-simulates only what
-        never finished.  Results themselves are not persisted; re-running
-        a completed point is what the checkpoint avoids.
+        ``checkpoint`` names a JSON-lines file of completed point indices:
+        each successful point appends one line, and a re-run with the same
+        file yields ``skipped=True`` records for those points instead of
+        re-simulating them.  Results themselves are not persisted.
         """
         import json
         from pathlib import Path
@@ -698,23 +608,20 @@ class SuperSim:
         from repro.backends.router import NoCapableBackendError
 
         completed: set[int] = set()
-        checkpoint_path = None
-        if checkpoint is not None:
-            checkpoint_path = Path(checkpoint)
-            if checkpoint_path.exists():
-                for line in checkpoint_path.read_text().splitlines():
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        completed.add(int(json.loads(line)["index"]))
-                    except (ValueError, KeyError, TypeError):
-                        warnings.warn(
-                            f"ignoring malformed checkpoint line in "
-                            f"{checkpoint_path}: {line!r}",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
+        checkpoint_path = None if checkpoint is None else Path(checkpoint)
+        if checkpoint_path is not None and checkpoint_path.exists():
+            for line in checkpoint_path.read_text().splitlines():
+                if not line.strip():
+                    continue
+                try:
+                    completed.add(int(json.loads(line)["index"]))
+                except (ValueError, KeyError, TypeError):
+                    warnings.warn(
+                        f"ignoring malformed checkpoint line in "
+                        f"{checkpoint_path}: {line!r}",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
 
         tolerate = self.execution.failure_policy != "raise"
         with self._batch_pool():
@@ -804,6 +711,7 @@ class SuperSim:
                     )
                     yield None
 
+    @contextlib.contextmanager
     def _batch_pool(self):
         """Context: one long-lived executor spanning a whole batch.
 
@@ -815,26 +723,19 @@ class SuperSim:
         handle, so the fault-tolerant scheduler can replace a broken
         process pool mid-batch without losing the sharing.
         """
-        import contextlib
-
         if self.execution.parallel <= 1 or self._batch_executor is not None:
-            return contextlib.nullcontext()
-
+            yield self._batch_executor
+            return
         kind = "process" if self.execution.pool == "process" else "thread"
-
-        @contextlib.contextmanager
-        def pool():
-            handle = SharedExecutorPool(kind, self.execution.parallel)
-            self._batch_executor = handle
-            self._batch_executor_kind = kind
-            try:
-                yield handle
-            finally:
-                self._batch_executor = None
-                self._batch_executor_kind = None
-                handle.shutdown()
-
-        return pool()
+        handle = SharedExecutorPool(kind, self.execution.parallel)
+        self._batch_executor = handle
+        self._batch_executor_kind = kind
+        try:
+            yield handle
+        finally:
+            self._batch_executor = None
+            self._batch_executor_kind = None
+            handle.shutdown()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -898,17 +799,11 @@ class SuperSim:
         from repro.core.reconstruction import reconstruct_sparse_distribution
         from repro.core.tomography import build_sparse_fragment_tensor
 
-        if keep_qubits is None:
-            keep_qubits = list(circuit.measured_qubits)
-        cc = self.cut(circuit)
-        fragment_data = self._evaluator().evaluate_all(
-            cc.fragments, job_runner=self._job_runner
-        )
-        keep_set = set(keep_qubits)
-        kept_locals = [
-            [lq for oq, lq in fragment.circuit_outputs if oq in keep_set]
-            for fragment in cc.fragments
-        ]
+        plan = self.plan(circuit, keep_qubits=keep_qubits)
+        _, fragment_data = self._evaluate(plan)
+        cc = plan.cut_circuit
+        keep = list(plan.keep_qubits)
+        kept_locals = _kept_locals(cc, keep)
         tensors = [
             build_sparse_fragment_tensor(
                 data, kept, snap_clifford=self.sampling.snap_clifford
@@ -919,7 +814,7 @@ class SuperSim:
             cc,
             tensors,
             kept_locals,
-            keep_qubits,
+            keep,
             prune_zeros=self.execution.prune_zeros,
             max_support=max_support,
         )
@@ -941,38 +836,12 @@ class SuperSim:
         scoring and per-qubit readout ride on.
         """
         windows = [list(w) for w in windows]
-        for window in windows:
-            if not window:
-                raise ValueError("empty marginal window")
-        cc = self.cut(circuit, cuts)
-        evaluator = self._evaluator()
-        fragment_data = evaluator.evaluate_all(
-            cc.fragments, job_runner=self._job_runner
-        )
-        project = self.sampling.tomography and self.sampling.shots is not None
+        keep = list(dict.fromkeys(q for window in windows for q in window))
+        plan = self.plan(circuit, keep_qubits=keep, cuts=cuts)
+        _, fragment_data = self._evaluate(plan, windows)
         out: list[Distribution] = []
         for window in windows:
-            keep_set = set(window)
-            kept_locals = [
-                [lq for oq, lq in fragment.circuit_outputs if oq in keep_set]
-                for fragment in cc.fragments
-            ]
-            tensors = [
-                build_fragment_tensor(
-                    data,
-                    kept,
-                    snap_clifford=self.sampling.snap_clifford,
-                    project=project,
-                )
-                for data, kept in zip(fragment_data, kept_locals)
-            ]
-            dist, _ = reconstruct_distribution(
-                cc,
-                tensors,
-                kept_locals,
-                window,
-                prune_zeros=self.execution.prune_zeros,
-            )
+            dist, _ = self._read_window(plan.cut_circuit, fragment_data, window, {})
             out.append(dist.clipped() if len(dist) else dist)
         return out
 
@@ -982,13 +851,9 @@ class SuperSim:
         Fragments are evaluated once; each qubit's marginal is a separate
         cheap reconstruction, so no ``2^n`` object is ever built.
         """
-        qubits = list(circuit.measured_qubits)
-        out = np.zeros((len(qubits), 2))
-        marginals = self.marginal_probabilities(circuit, [[q] for q in qubits])
-        for row, dist in enumerate(marginals):
-            out[row, 0] = dist[0]
-            out[row, 1] = dist[1]
-        return out
+        windows = [[q] for q in circuit.measured_qubits]
+        marginals = self.marginal_probabilities(circuit, windows)
+        return np.array([[m[0], m[1]] for m in marginals]).reshape(-1, 2)
 
     def expectation(self, circuit: Circuit, pauli) -> float:
         """``<P>`` of the circuit's output state at any width.
@@ -1006,48 +871,32 @@ class SuperSim:
         """Strong simulation: the probability of one bitstring.
 
         Evaluates each fragment's tensor at the fixed outcome only (point
-        queries against the affine fragment data), so the cost is ``4^k``
-        scalar products at *any* circuit width — the paper's §V-C claim that
-        single-bitstring probabilities come "to machine precision without
-        added computational overheads".
+        queries against the affine fragment data) and contracts those
+        scalars over the cuts, so the cost is ``4^k`` scalar products at
+        *any* circuit width — the paper's §V-C claim that single-bitstring
+        probabilities come "to machine precision without added
+        computational overheads".
         """
         from repro.core.tomography import fragment_tensor_at
 
-        qubits = list(circuit.measured_qubits)
-        outcome_bits = [int(b) for b in outcome_bits]
-        if len(outcome_bits) != len(qubits):
-            raise ValueError("bitstring length does not match measured qubits")
-        bit_of = dict(zip(qubits, outcome_bits))
-        cc = self.cut(circuit)
-        fragment_data = self._evaluator().evaluate_all(
-            cc.fragments, job_runner=self._job_runner
-        )
-        scalar_tensors = []
-        axis_cuts = []
+        bits = [int(b) for b in outcome_bits]
+        plan = self.plan(circuit)
+        _, fragment_data = self._evaluate(plan, outcome=bits)
+        cc = plan.cut_circuit
+        bit_of = dict(zip(plan.keep_qubits, bits))
+        tensors = []
         for fragment, data in zip(cc.fragments, fragment_data):
             fixed = {
-                lq: bit_of[oq]
-                for oq, lq in fragment.circuit_outputs
-                if oq in bit_of
+                lq: bit_of[oq] for oq, lq in fragment.circuit_outputs if oq in bit_of
             }
-            scalar_tensors.append(
-                fragment_tensor_at(
-                    data, fixed, snap_clifford=self.sampling.snap_clifford
-                )
+            values = fragment_tensor_at(
+                data, fixed, snap_clifford=self.sampling.snap_clifford
             )
-            axis_cuts.append(
-                [c for c, _ in fragment.quantum_inputs]
-                + [c for c, _ in fragment.quantum_outputs]
-            )
-        import itertools
-
-        k = cc.num_cuts
-        total = 0.0
-        for assignment in itertools.product(range(4), repeat=k):
-            term = 1.0
-            for tensor, cuts in zip(scalar_tensors, axis_cuts):
-                term *= tensor[tuple(assignment[c] for c in cuts)]
-                if term == 0.0:
-                    break
-            total += term
-        return total / 2.0**k
+            # combos arrive in index order; the point is a 0-bit output,
+            # so the kept-bit axis has size 1
+            axes = len(fragment.quantum_inputs) + len(fragment.quantum_outputs)
+            tensors.append(np.array(list(values.values())).reshape((4,) * axes + (1,)))
+        point, _ = reconstruct_distribution(
+            cc, tensors, [[] for _ in tensors], [], prune_zeros=False
+        )
+        return point[0]

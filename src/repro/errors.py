@@ -6,6 +6,8 @@ count, no way to tell a transient fault from a poisoned job.  The typed
 hierarchy here attaches that context:
 
 * :class:`ReproError` — base class of every engine-raised failure;
+* :class:`InvalidRequestError` — a request the plan cannot serve, caught
+  before anything is simulated;
 * :class:`BackendExecutionError` — a backend raised while simulating a
   variant (after any configured retries were exhausted);
 * :class:`JobTimeoutError` — a variant exceeded its soft deadline (derived
@@ -75,6 +77,16 @@ class ReproError(Exception):
         self.fragment_index = fragment_index
         self.backend = backend
         self.attempts = attempts
+
+
+class InvalidRequestError(ReproError, ValueError):
+    """A request names qubits, windows or outcome bits the plan cannot serve.
+
+    Raised by :class:`~repro.core.supersim.SuperSim` before any fragment
+    is simulated: unknown or duplicate qubits in ``keep_qubits`` or a
+    marginal window, an empty window, an outcome bit outside ``{0, 1}``.
+    Subclasses :class:`ValueError`, so ``except ValueError`` still works.
+    """
 
 
 class BackendExecutionError(ReproError):

@@ -22,6 +22,9 @@ from repro.core import (
     CutConfig,
     CutStrategy,
     ExecutionConfig,
+    InvalidRequestError,
+    ReconstructionConfig,
+    ReproError,
     SamplingConfig,
     SuperSim,
 )
@@ -268,3 +271,110 @@ class TestExpectationAPI:
         c.append(gates.T, n - 1)
         zz = PauliString.from_label("ZZ" + "I" * (n - 2))
         assert np.isclose(EXACT.expectation(c, zz), 1.0, atol=1e-9)
+
+
+def _near_clifford(seed=3, n=5):
+    rng = np.random.default_rng(seed)
+    return inject_t_gates(random_clifford_circuit(n, 4, rng), 2, rng)
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    """Record the fragments and backend assignments of every evaluate_all."""
+    from repro.core.evaluator import FragmentEvaluator
+
+    calls = []
+    real = FragmentEvaluator.evaluate_all
+
+    def spy(self, fragments, *args, **kwargs):
+        calls.append(
+            (
+                [f.index for f in fragments],
+                {i: b.name for i, b in self.assignments.items()},
+            )
+        )
+        return real(self, fragments, *args, **kwargs)
+
+    monkeypatch.setattr(FragmentEvaluator, "evaluate_all", spy)
+    return calls
+
+
+class TestOnePipeline:
+    """Every entry point plans, evaluates once, then reads out."""
+
+    ENTRY_POINTS = {
+        "run": lambda sim, c: sim.run(c),
+        "execute": lambda sim, c: sim.plan(c).execute(),
+        "sweep": lambda sim, c: list(sim.sweep(lambda _: c, [0])),
+        "run_many": lambda sim, c: list(sim.run_many([c])),
+        "marginal_probabilities": lambda sim, c: sim.marginal_probabilities(
+            c, [[0, 2], [4]]
+        ),
+        "single_qubit_marginals": lambda sim, c: sim.single_qubit_marginals(c),
+        "sparse_probabilities": lambda sim, c: sim.sparse_probabilities(c),
+        "probability_of": lambda sim, c: sim.probability_of(c, [0] * c.n_qubits),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_one_evaluate_call_with_plan_assignments(self, entry, evaluate_calls):
+        circuit = _near_clifford()
+        plan = SuperSim().plan(circuit)
+        assert plan.num_cuts > 0
+        self.ENTRY_POINTS[entry](SuperSim(), circuit)
+        assert evaluate_calls == [
+            (
+                [f.index for f in plan.cut_circuit.fragments],
+                dict(enumerate(plan.backend_names)),
+            )
+        ]
+
+    @pytest.mark.parametrize(
+        "sampling", [SamplingConfig(), SamplingConfig(shots=2000, seed=11)]
+    )
+    def test_windowed_run_equals_marginal_probabilities(self, sampling):
+        circuit = _near_clifford()
+        window = (3, 0, 4)
+        windowed = SuperSim(
+            sampling=sampling,
+            reconstruction=ReconstructionConfig(mode="windowed", window=window),
+        ).run(circuit)
+        (marginal,) = SuperSim(sampling=sampling).marginal_probabilities(
+            circuit, [window]
+        )
+        assert windowed.reconstruction_mode == "windowed"
+        assert np.array_equal(
+            windowed.distribution.keys_array, marginal.keys_array
+        )
+        assert np.array_equal(
+            windowed.distribution.values_array, marginal.values_array
+        )
+
+
+class TestRequestValidation:
+    """Bad qubits, windows and bits fail before anything is simulated."""
+
+    BAD_REQUESTS = {
+        "keep_unknown": lambda sim, c: sim.run(c, keep_qubits=[99]),
+        "keep_duplicate": lambda sim, c: sim.run(c, keep_qubits=[0, 0]),
+        "window_unknown": lambda sim, c: sim.marginal_probabilities(c, [[99]]),
+        "window_duplicate": lambda sim, c: sim.marginal_probabilities(c, [[1, 1]]),
+        "window_empty": lambda sim, c: sim.marginal_probabilities(c, [[0], []]),
+        "sparse_unknown": lambda sim, c: sim.sparse_probabilities(
+            c, keep_qubits=[99]
+        ),
+        "outcome_bit": lambda sim, c: sim.probability_of(
+            c, [2] + [0] * (c.n_qubits - 1)
+        ),
+        "outcome_length": lambda sim, c: sim.probability_of(c, [0]),
+        "windowed_mode_unknown": lambda sim, c: SuperSim(
+            reconstruction=ReconstructionConfig(mode="windowed", window=(99,))
+        ).run(c),
+    }
+
+    @pytest.mark.parametrize("request_name", sorted(BAD_REQUESTS))
+    def test_rejected_before_evaluation(self, request_name, evaluate_calls):
+        with pytest.raises(InvalidRequestError) as info:
+            self.BAD_REQUESTS[request_name](SuperSim(), _near_clifford())
+        assert isinstance(info.value, ReproError)
+        assert isinstance(info.value, ValueError)
+        assert evaluate_calls == []
