@@ -158,25 +158,16 @@ class ExecutionConfig(_Replaceable):
         ``"degrade"``.
     retry_backoff:
         Base backoff in seconds before the first retry; doubles per
-        attempt, capped at ``retry_backoff_cap``.
-    retry_backoff_cap:
-        Upper bound on the per-retry backoff sleep.
+        attempt, capped at :data:`repro.core.faults.RETRY_BACKOFF_CAP`.
     job_timeout:
         Explicit soft deadline in seconds for every fragment job.  When
         ``None``, a deadline is derived per job from the calibrated cost
-        model — ``scored_cost x timeout_safety``, floored at
-        ``min_job_timeout`` — whenever the router carries measured
-        ``cost_scales`` (an uncalibrated router derives no deadline:
-        its cost units are not seconds).  A job past its deadline is
-        cancelled (process pools rebuild to kill the hung worker) and
-        retried; it counts against ``max_retries`` and raises
+        model (:func:`repro.core.faults.soft_deadline`) whenever the
+        router carries measured ``cost_scales`` (an uncalibrated router
+        derives no deadline: its cost units are not seconds).  A job past
+        its deadline is cancelled (process pools rebuild to kill the hung
+        worker) and retried; it counts against ``max_retries`` and raises
         :class:`~repro.errors.JobTimeoutError` on exhaustion.
-    timeout_safety:
-        Safety factor between the calibrated cost prediction and the
-        derived soft deadline.
-    min_job_timeout:
-        Floor for derived deadlines, so cheap jobs are not cancelled on
-        scheduler jitter.
     max_job_crashes:
         Quarantine a job as poison (:class:`~repro.errors.WorkerCrashError`)
         after being in flight across this many worker crashes.
@@ -198,10 +189,7 @@ class ExecutionConfig(_Replaceable):
     failure_policy: str = "raise"
     max_retries: int = 3
     retry_backoff: float = 0.05
-    retry_backoff_cap: float = 2.0
     job_timeout: float | None = None
-    timeout_safety: float = 25.0
-    min_job_timeout: float = 5.0
     max_job_crashes: int = 3
     chaos: Any = None
 
@@ -219,14 +207,10 @@ class ExecutionConfig(_Replaceable):
             )
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.retry_backoff < 0 or self.retry_backoff_cap < 0:
-            raise ValueError("retry backoff values must be non-negative")
+        if self.retry_backoff < 0:
+            raise ValueError("retry_backoff must be non-negative")
         if self.job_timeout is not None and not self.job_timeout > 0:
             raise ValueError("job_timeout must be positive or None")
-        if not self.timeout_safety > 0:
-            raise ValueError("timeout_safety must be positive")
-        if self.min_job_timeout < 0:
-            raise ValueError("min_job_timeout must be non-negative")
         if self.max_job_crashes < 1:
             raise ValueError("max_job_crashes must be at least 1")
 

@@ -24,16 +24,16 @@ fingerprint, never from submission order, so sampled results are
 reproducible bit-for-bit at any parallelism.
 
 Execution is fault tolerant: every job is submitted individually through
-the :class:`_JobScheduler`, which retries transient backend failures with
-capped exponential backoff, enforces per-job soft deadlines derived from
-the calibrated cost model, self-heals a broken process pool (rebuilding it
-and resubmitting the in-flight jobs, quarantining a job only after it was
-in flight across ``max_job_crashes`` crashes), and — under
-``failure_policy="degrade"`` — walks the router's cost-ordered fallback
-chain.  A retried or fallen-back job reuses its fingerprint-derived seed,
-so a run that survived faults is bit-for-bit identical to a clean one;
-the survived faults are tallied in the evaluator's
-:class:`~repro.errors.FaultReport`.
+the :class:`_JobScheduler`, which enforces per-job soft deadlines derived
+from the calibrated cost model and self-heals a broken process pool
+(rebuilding it and resubmitting the in-flight jobs).  What happens to a
+job that raised, timed out or was in flight for a crash — retry with
+backoff, quarantine, fall back along the router's cost ordering, or
+raise — is decided by :func:`repro.core.faults.decide`, the fault policy
+the service coordinator and its workers share.  A retried or fallen-back
+job reuses its fingerprint-derived seed, so a run that survived faults is
+bit-for-bit identical to a clean one; the survived faults are tallied in
+the evaluator's :class:`~repro.errors.FaultReport`.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from __future__ import annotations
 import heapq
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, CancelledError, wait
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 
@@ -48,14 +49,17 @@ from repro.analysis.distributions import Distribution, pack_bit_rows
 from repro.backends.base import Backend, CircuitFeatures
 from repro.backends.cache import VariantCache, circuit_fingerprint
 from repro.backends.router import BackendRouter
+from repro.core.config import ExecutionConfig, SamplingConfig
 from repro.core.fragments import Fragment
 from repro.core.variants import all_variants, variant_circuit
-from repro.errors import (
-    BackendExecutionError,
-    FaultReport,
-    JobTimeoutError,
-    WorkerCrashError,
+from repro.core.faults import (
+    charge,
+    event_of,
+    execute_with_retries,
+    policy_of,
+    soft_deadline,
 )
+from repro.errors import FaultReport
 
 
 class VariantData:
@@ -145,10 +149,12 @@ class _Job:
     ``fragment_index`` / ``features`` / ``is_clifford`` carry the context
     the fault-tolerance layer needs (error attribution, degrade-mode
     fallback routing); ``timeout`` is the job's soft deadline in seconds
-    (``None`` = none); ``attempt`` counts known prior failures and is set
-    by the scheduler before every (re)submission; ``chaos`` is the
-    optional deterministic fault-injection schedule and ``in_process``
-    tells the chaos harness whether a crash may be a real ``os._exit``.
+    (``None`` = none); ``failures`` counts raised exceptions and
+    soft-timeouts on the job's *current* backend (reset on a degrade-mode
+    fallback) and ``crashes`` the worker crashes it was in flight for —
+    their sum is the ``attempt`` number; ``chaos`` is the optional
+    deterministic fault-injection schedule and ``in_process`` tells the
+    chaos harness whether a crash may be a real ``os._exit``.
     """
 
     __slots__ = (
@@ -163,7 +169,8 @@ class _Job:
         "features",
         "is_clifford",
         "timeout",
-        "attempt",
+        "failures",
+        "crashes",
         "chaos",
         "in_process",
     )
@@ -194,13 +201,18 @@ class _Job:
         self.features = features
         self.is_clifford = is_clifford
         self.timeout = timeout
-        self.attempt = 0
+        self.failures = 0
+        self.crashes = 0
         self.chaos = chaos
         self.in_process = False
 
     @property
     def fingerprint(self) -> str:
         return self.key[0]
+
+    @property
+    def attempt(self) -> int:
+        return self.failures + self.crashes
 
 
 def _execute_job(job: _Job) -> VariantData:
@@ -228,23 +240,13 @@ def _execute_job(job: _Job) -> VariantData:
     return DenseVariantData(job.backend.sample(job.circuit, job.shots, rng))
 
 
-def _is_simulated_crash(exc: BaseException) -> bool:
-    """Is this the chaos harness's stand-in for a worker crash?"""
-    try:
-        from repro.testing.chaos import SimulatedWorkerCrash
-    except Exception:  # pragma: no cover - testing package always ships
-        return False
-    return isinstance(exc, SimulatedWorkerCrash)
-
-
 class SharedExecutorPool:
     """A rebuildable executor handle shared across batch runs.
 
-    ``SuperSim.sweep`` / ``run_many`` used to hand evaluators a raw
-    executor; the fault-tolerant scheduler needs to *replace* a broken
-    process pool mid-run, so the shared handle owns the executor and
-    exposes :meth:`rebuild`.  Raw executors are still accepted everywhere
-    a handle is — they just cannot self-heal across batch points.
+    ``SuperSim.sweep`` / ``run_many`` hand one to every evaluator of a
+    batch, and the scheduler builds a private one for a single run.  The
+    fault-tolerant scheduler needs to *replace* a broken process pool
+    mid-run, so the handle owns the executor and exposes :meth:`rebuild`.
     """
 
     def __init__(self, kind: str, workers: int):
@@ -252,17 +254,11 @@ class SharedExecutorPool:
             raise ValueError(f"kind must be 'thread' or 'process', got {kind!r}")
         self.kind = kind
         self.workers = max(1, int(workers))
-        self.rebuilds = 0
         self.executor = self._make()
 
     def _make(self):
-        if self.kind == "process":
-            from concurrent.futures import ProcessPoolExecutor
-
-            return ProcessPoolExecutor(max_workers=self.workers)
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(max_workers=self.workers)
+        kind = ProcessPoolExecutor if self.kind == "process" else ThreadPoolExecutor
+        return kind(max_workers=self.workers)
 
     def rebuild(self):
         """Replace the executor (after ``BrokenProcessPool`` or a hang)."""
@@ -271,57 +267,26 @@ class SharedExecutorPool:
         except Exception:
             pass  # a broken pool may refuse a clean shutdown
         self.executor = self._make()
-        self.rebuilds += 1
         return self.executor
 
     def shutdown(self, wait: bool = True) -> None:
         self.executor.shutdown(wait=wait, cancel_futures=not wait)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SharedExecutorPool({self.kind!r}, workers={self.workers}, "
-            f"rebuilds={self.rebuilds})"
-        )
-
-
-class _JobState:
-    """Mutable per-job fault bookkeeping, scheduler side.
-
-    ``failures`` counts raised exceptions and soft-timeouts on the job's
-    *current* backend (reset on a degrade-mode fallback); ``crashes``
-    counts worker crashes the job was in flight for; ``tried`` lists the
-    backend names already attempted, so fallback never revisits one.
-    """
-
-    __slots__ = ("job", "failures", "crashes", "tried")
-
-    def __init__(self, job: _Job):
-        self.job = job
-        self.failures = 0
-        self.crashes = 0
-        self.tried = [job.backend.name]
-
 
 class _JobScheduler:
-    """Futures-based per-job engine implementing the failure policy.
+    """Futures-based per-job engine driving the fault policy.
 
-    Replaces the fire-and-forget ``executor.map`` batch.  Jobs are
-    submitted individually with in-flight submissions bounded by the
-    worker count (so a soft deadline measures *run* time, not queue
-    time); completions, failures and deadline misses are handled per job:
-
-    * ``failure_policy="raise"`` — fail fast with a contextful
-      :class:`~repro.errors.ReproError` subclass;
-    * ``"retry"`` — capped exponential backoff up to ``max_retries``
-      per job, then raise;
-    * ``"degrade"`` — like retry, but an exhausted job falls back to the
-      next-cheapest capable backend in the router's cost ordering (its
-      result is kept out of the cross-run cache).
+    Jobs are submitted individually with in-flight submissions bounded by
+    the worker count (so a soft deadline measures *run* time, not queue
+    time).  Every failure, deadline miss and crash goes to
+    :func:`repro.core.faults.decide`; the scheduler only carries the
+    decision out — resubmit after the backoff, fall back to the
+    next-cheapest capable backend in the router's cost ordering (its
+    result is kept out of the cross-run cache), or raise the typed error.
 
     A ``BrokenProcessPool`` triggers self-healing: finished results are
-    harvested, the pool is rebuilt (through the shared handle's
-    ``rebuild()`` when one is in use), and every unfinished in-flight job
-    is charged one crash and resubmitted — attribution is heuristic, so a
+    harvested, the pool is rebuilt, and every unfinished in-flight job is
+    charged one crash and resubmitted — attribution is heuristic, so a
     job is quarantined as poison only after ``max_job_crashes`` crashes
     with it in flight.  Determinism is untouched throughout: resubmitted
     jobs reuse their fingerprint-derived seeds.
@@ -333,27 +298,24 @@ class _JobScheduler:
         jobs: list[_Job],
         pool: str,
         workers: int,
-        shared=None,
+        shared: SharedExecutorPool | None = None,
     ):
         self.ev = ev
         self.jobs = jobs
         self.pool = pool
         self.workers = max(1, int(workers))
-        self.shared = shared  # SharedExecutorPool (or raw executor) or None
-        self.own_executor = shared is None
-        self.executor = None
+        self.shared = shared
+        self.own_pool = shared is None
+        self.policy, self.limits = policy_of(ev.execution)
         self.results: dict[tuple, VariantData] = {}
         self.degraded: set[tuple] = set()
-        self.states = {job.key: _JobState(job) for job in jobs}
+        # backends each job was tried on, so fallback never revisits one
+        self.tried = {job.key: [job.backend.name] for job in jobs}
         self.pending: list[tuple[float, int, _Job]] = []  # (ready, seq, job)
         self.inflight: dict = {}  # future -> (job, deadline | None)
         self._seq = 0
 
     # -- policy ---------------------------------------------------------------
-
-    @property
-    def policy(self) -> str:
-        return self.ev.failure_policy
 
     def _record(self, kind: str, job: _Job, detail: str = "") -> None:
         self.ev.faults.record(
@@ -364,22 +326,8 @@ class _JobScheduler:
             detail=detail,
         )
 
-    def _context(self, state: _JobState) -> dict:
-        return {
-            "fragment_index": state.job.fragment_index,
-            "backend": state.job.backend.name,
-            "attempts": state.failures + state.crashes,
-        }
-
-    def _backoff(self, n: int) -> float:
-        base = self.ev.retry_backoff
-        if base <= 0:
-            return 0.0
-        return min(self.ev.retry_backoff_cap, base * (2.0 ** (n - 1)))
-
-    def _next_fallback(self, state: _JobState):
+    def _next_fallback(self, job: _Job):
         """The cheapest capable backend not yet tried, or ``None``."""
-        job = state.job
         if job.features is None:
             return None
         try:
@@ -391,149 +339,74 @@ class _JobScheduler:
         except Exception:
             return None
         for cand in ranked:
-            if cand.name not in state.tried:
+            if cand.name not in self.tried[job.key]:
                 return cand
         return None
 
-    def _fall_back(self, state: _JobState, reason: str) -> bool:
+    def _fall_back(self, job: _Job, reason: str) -> bool:
         """Swap the job onto the next capable backend (degrade mode)."""
-        cand = self._next_fallback(state)
+        cand = self._next_fallback(job)
         if cand is None:
             return False
-        job = state.job
         self._record(
             "fallback", job, detail=f"{job.backend.name} -> {cand.name} after {reason}"
         )
-        state.tried.append(cand.name)
+        self.tried[job.key].append(cand.name)
         job.backend = cand
         job.affine = bool(
             cand.capabilities.affine and job.is_clifford and job.noise is None
         )
-        state.failures = 0
-        state.crashes = 0
+        job.failures = 0
+        job.crashes = 0
         # the value will come from a different backend than the cache key
         # names: usable for this run, but never stored cross-run
         self.degraded.add(job.key)
         return True
 
-    def _handle_failure(self, state: _JobState, exc: BaseException) -> float:
-        """Policy decision after a raised backend exception.
+    def _settle(self, job: _Job, decision) -> bool:
+        """Carry out a terminal decision: ``True`` once the job fell back
+        to another backend, else raise the decision's error."""
+        if decision.action == "fallback" and self._fall_back(job, decision.reason):
+            return True
+        raise decision.error
 
-        Returns the backoff delay before resubmission, or raises when the
-        policy says the run is over.
-        """
-        job = state.job
-        if self.policy == "raise":
-            raise BackendExecutionError(
-                f"backend raised while simulating a variant: {exc!r}",
-                **self._context(state),
-            ) from exc
-        state.failures += 1
-        detail = f"{type(exc).__name__}: {exc}"
-        if state.failures <= self.ev.max_retries:
-            self._record("retry", job, detail=detail)
-            return self._backoff(state.failures)
-        if self.policy == "degrade" and self._fall_back(state, detail):
-            return 0.0
-        raise BackendExecutionError(
-            f"retries exhausted: {exc!r}", **self._context(state)
-        ) from exc
-
-    def _handle_timeout(self, state: _JobState) -> float:
-        """Policy decision after a job exceeded its soft deadline."""
-        job = state.job
-        if self.policy == "raise":
-            raise JobTimeoutError(
-                "variant exceeded its soft deadline",
-                timeout=job.timeout,
-                **self._context(state),
-            )
-        state.failures += 1
-        if state.failures <= self.ev.max_retries:
-            self._record(
-                "timeout", job, detail=f"soft deadline {job.timeout:.3g}s exceeded"
-            )
-            return self._backoff(state.failures)
-        if self.policy == "degrade" and self._fall_back(state, "repeated soft-timeouts"):
-            return 0.0
-        raise JobTimeoutError(
-            "soft deadline exceeded and retries exhausted",
-            timeout=job.timeout,
-            **self._context(state),
+    def _fault(self, job: _Job, event: str, cause=None) -> None:
+        """Decide one fault of a parallel job and requeue it accordingly."""
+        decision = charge(
+            self.policy, event, job, self.limits, self.ev.faults.events.append, cause
         )
-
-    def _handle_crash(self, state: _JobState, detail: str) -> float:
-        """Policy decision after a worker crashed with this job in flight."""
-        job = state.job
-        if self.policy == "raise":
-            raise WorkerCrashError(
-                f"worker crashed with this job in flight ({detail})",
-                **self._context(state),
-            )
-        state.crashes += 1
-        self._record("crash", job, detail=detail)
-        if state.crashes <= self.ev.max_job_crashes:
-            return self._backoff(state.crashes)
-        self._record(
-            "quarantine",
-            job,
-            detail=f"{state.crashes} crashes with this job in flight",
-        )
-        if self.policy == "degrade" and self._fall_back(
-            state, f"{state.crashes} worker crashes"
-        ):
-            return 0.0
-        raise WorkerCrashError(
-            f"job quarantined after {state.crashes} worker crashes ({detail})",
-            **self._context(state),
-        )
+        if decision.action == "retry":
+            self._push(job, decision.delay)
+        elif self._settle(job, decision):
+            self._push(job)
 
     # -- serial path ----------------------------------------------------------
 
     def run_serial(self) -> dict[tuple, VariantData]:
         for job in self.jobs:
-            state = self.states[job.key]
             while True:
-                job.attempt = state.failures + state.crashes
                 start = time.monotonic()
-                try:
-                    value = _execute_job(job)
-                except Exception as exc:
-                    if _is_simulated_crash(exc):
-                        delay = self._handle_crash(
-                            state, f"{type(exc).__name__}: {exc}"
-                        )
-                    else:
-                        delay = self._handle_failure(state, exc)
-                    if delay:
-                        time.sleep(delay)
-                    continue
-                elapsed = time.monotonic() - start
-                if job.timeout is not None and elapsed > job.timeout:
-                    # serial execution cannot interrupt a running job; the
-                    # result exists, so keep it and record the miss
-                    self._record(
-                        "timeout",
-                        job,
-                        detail=(
-                            f"completed late: {elapsed:.3g}s > "
-                            f"{job.timeout:.3g}s soft deadline (serial)"
-                        ),
-                    )
-                self.results[job.key] = value
-                break
+                value, decision = execute_with_retries(
+                    job, self.policy, self.limits, self.ev.faults.events.append
+                )
+                if decision is None or not self._settle(job, decision):
+                    break
+            elapsed = time.monotonic() - start
+            if job.timeout is not None and elapsed > job.timeout:
+                # serial execution cannot interrupt a running job; the
+                # result exists, so keep it and record the miss
+                self._record(
+                    "timeout",
+                    job,
+                    detail=(
+                        f"completed late: {elapsed:.3g}s > "
+                        f"{job.timeout:.3g}s soft deadline (serial)"
+                    ),
+                )
+            self.results[job.key] = value
         return self.results
 
     # -- parallel path --------------------------------------------------------
-
-    def _make_executor(self):
-        if self.pool == "process":
-            from concurrent.futures import ProcessPoolExecutor
-
-            return ProcessPoolExecutor(max_workers=self.workers)
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(max_workers=self.workers)
 
     def _push(self, job: _Job, delay: float = 0.0) -> None:
         self._seq += 1
@@ -541,8 +414,6 @@ class _JobScheduler:
         heapq.heappush(self.pending, (ready, self._seq, job))
 
     def _submit(self, job: _Job, now: float) -> None:
-        state = self.states[job.key]
-        job.attempt = state.failures + state.crashes
         job.in_process = self.pool == "process"
         fut = self.executor.submit(_execute_job, job)
         deadline = None if job.timeout is None else now + job.timeout
@@ -588,26 +459,10 @@ class _JobScheduler:
             survivors.append(job)
         self.inflight.clear()
         self.ev.faults.record("pool_rebuild", detail=detail)
-        if self.shared is not None:
-            rebuild = getattr(self.shared, "rebuild", None)
-            if rebuild is not None:
-                self.executor = rebuild()
-            else:
-                # a raw shared executor cannot be replaced: finish this
-                # batch on a private pool instead
-                self.own_executor = True
-                self.shared = None
-                self.executor = self._make_executor()
-        else:
-            try:
-                self.executor.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-            self.executor = self._make_executor()
+        self.executor = self.shared.rebuild()
         for job in survivors:
             if penalize:
-                delay = self._handle_crash(self.states[job.key], detail)
-                self._push(job, delay)
+                self._fault(job, "crash", detail)
             else:
                 self._push(job)
 
@@ -623,8 +478,7 @@ class _JobScheduler:
         for fut, job in expired:
             self.inflight.pop(fut, None)
             fut.cancel()  # thread futures survive this; it is best-effort
-            delay = self._handle_timeout(self.states[job.key])
-            self._push(job, delay)
+            self._fault(job, "timeout")
         if self.pool == "process":
             # a hung process worker cannot be interrupted from here: the
             # only way to reclaim it is to rebuild the whole pool (the
@@ -638,20 +492,17 @@ class _JobScheduler:
         for fut in list(self.inflight):
             fut.cancel()
         self.inflight.clear()
-        if self.own_executor and self.executor is not None:
-            self.executor.shutdown(wait=False, cancel_futures=True)
-            self.executor = None
-        elif self.shared is not None and getattr(self.executor, "_broken", False):
+        if self.own_pool:
+            self.shared.shutdown(wait=False)
+            self.shared = None
+        elif getattr(self.executor, "_broken", False):
             # leave the shared pool usable for the caller's next batch point
-            rebuild = getattr(self.shared, "rebuild", None)
-            if rebuild is not None:
-                rebuild()
+            self.shared.rebuild()
 
     def run_parallel(self) -> dict[tuple, VariantData]:
-        if self.shared is not None:
-            self.executor = getattr(self.shared, "executor", self.shared)
-        else:
-            self.executor = self._make_executor()
+        if self.own_pool:
+            self.shared = SharedExecutorPool(self.pool, self.workers)
+        self.executor = self.shared.executor
         for job in self.jobs:
             self._push(job)
         try:
@@ -673,7 +524,6 @@ class _JobScheduler:
                     if entry is None:
                         continue
                     job, deadline = entry
-                    state = self.states[job.key]
                     try:
                         value = fut.result()
                     except CancelledError:
@@ -689,13 +539,7 @@ class _JobScheduler:
                         )
                         break
                     except Exception as exc:
-                        if _is_simulated_crash(exc):
-                            delay = self._handle_crash(
-                                state, f"{type(exc).__name__}: {exc}"
-                            )
-                        else:
-                            delay = self._handle_failure(state, exc)
-                        self._push(job, delay)
+                        self._fault(job, event_of(exc), exc)
                         continue
                     self.results[job.key] = value
                 self._sweep_deadlines()
@@ -703,8 +547,8 @@ class _JobScheduler:
             self._abort_cleanup()
             raise
         finally:
-            if self.own_executor and self.executor is not None:
-                self.executor.shutdown(wait=True)
+            if self.own_pool and self.shared is not None:
+                self.shared.shutdown(wait=True)
         return self.results
 
 
@@ -735,7 +579,10 @@ class FragmentEvaluator:
 
     ``cache`` is an optional :class:`~repro.backends.cache.VariantCache`;
     share one instance across evaluators (as ``SuperSim`` does) to carry
-    results between ``run()`` calls.
+    results between ``run()`` calls.  ``executor`` is a batch-wide
+    :class:`SharedExecutorPool`.  ``execution`` is the
+    :class:`~repro.core.config.ExecutionConfig` the fault policy, soft
+    deadlines and chaos schedule are read from.
     """
 
     def __init__(
@@ -752,17 +599,8 @@ class FragmentEvaluator:
         cache: VariantCache | None = None,
         pool: str | None = None,
         assignments: dict[int, Backend] | None = None,
-        executor=None,
-        executor_kind: str | None = None,
-        failure_policy: str = "raise",
-        max_retries: int = 3,
-        retry_backoff: float = 0.05,
-        retry_backoff_cap: float = 2.0,
-        job_timeout: float | None = None,
-        timeout_safety: float = 25.0,
-        min_job_timeout: float = 5.0,
-        max_job_crashes: int = 3,
-        chaos=None,
+        executor: SharedExecutorPool | None = None,
+        execution=None,
     ):
         from repro.backends import as_backend, get_backend
 
@@ -777,20 +615,8 @@ class FragmentEvaluator:
                 f"pool must be 'thread', 'process' or None, got {pool!r}"
             )
         self.pool = pool
-        if failure_policy not in ("raise", "retry", "degrade"):
-            raise ValueError(
-                "failure_policy must be 'raise', 'retry' or 'degrade', "
-                f"got {failure_policy!r}"
-            )
-        self.failure_policy = failure_policy
-        self.max_retries = max(0, int(max_retries))
-        self.retry_backoff = float(retry_backoff)
-        self.retry_backoff_cap = float(retry_backoff_cap)
-        self.job_timeout = job_timeout
-        self.timeout_safety = float(timeout_safety)
-        self.min_job_timeout = float(min_job_timeout)
-        self.max_job_crashes = max(1, int(max_job_crashes))
-        self.chaos = chaos
+        #: the fault policy, soft deadline and chaos schedule come from here
+        self.execution = execution if execution is not None else ExecutionConfig()
         #: faults survived across this evaluator's evaluate_all calls
         self.faults = FaultReport()
         self._last_degraded: set[tuple] = set()
@@ -805,7 +631,6 @@ class FragmentEvaluator:
         )
         self.assignments = dict(assignments) if assignments else {}
         self.executor = executor
-        self.executor_kind = executor_kind
         self.last_stats: dict = {}
         if noise is not None and shots is None:
             raise ValueError("noisy fragment evaluation requires finite shots")
@@ -817,8 +642,7 @@ class FragmentEvaluator:
         execution=None,
         cache: VariantCache | None = None,
         assignments: dict[int, Backend] | None = None,
-        executor=None,
-        executor_kind: str | None = None,
+        executor: SharedExecutorPool | None = None,
     ) -> "FragmentEvaluator":
         """Build an evaluator from typed config objects.
 
@@ -826,8 +650,6 @@ class FragmentEvaluator:
         (``SuperSim`` passes its own long-lived cache here); when omitted,
         ``execution.cache=True`` builds a private one.
         """
-        from repro.core.config import ExecutionConfig, SamplingConfig
-
         from repro.backends.cache import resolve_cache
 
         sampling = sampling if sampling is not None else SamplingConfig()
@@ -848,16 +670,7 @@ class FragmentEvaluator:
             pool=execution.pool,
             assignments=assignments,
             executor=executor,
-            executor_kind=executor_kind,
-            failure_policy=execution.failure_policy,
-            max_retries=execution.max_retries,
-            retry_backoff=execution.retry_backoff,
-            retry_backoff_cap=execution.retry_backoff_cap,
-            job_timeout=execution.job_timeout,
-            timeout_safety=execution.timeout_safety,
-            min_job_timeout=execution.min_job_timeout,
-            max_job_crashes=execution.max_job_crashes,
-            chaos=execution.chaos,
+            execution=execution,
         )
 
     # -- routing --------------------------------------------------------------
@@ -899,13 +712,13 @@ class FragmentEvaluator:
 
         An explicit ``job_timeout`` wins.  Otherwise a deadline is derived
         from the calibrated cost model — scored cost is (roughly) predicted
-        seconds once ``cost_scales`` are measured — times the
-        ``timeout_safety`` factor, floored at ``min_job_timeout``.  Without
-        a calibration entry for this backend the model's units are
-        arbitrary and no deadline can honestly be derived.
+        seconds once ``cost_scales`` are measured — by
+        :func:`~repro.core.faults.soft_deadline`.  Without a calibration
+        entry for this backend the model's units are arbitrary and no
+        deadline can honestly be derived.
         """
-        if self.job_timeout is not None:
-            return self.job_timeout
+        if self.execution.job_timeout is not None:
+            return self.execution.job_timeout
         if backend.name not in self.router.cost_scales:
             return None
         mode = "exact" if (self.shots is None and not noisy) else "sampled"
@@ -913,7 +726,7 @@ class FragmentEvaluator:
             cost = float(self.router.scored_cost(backend, features, mode))
         except Exception:
             return None
-        return max(self.min_job_timeout, cost * self.timeout_safety)
+        return soft_deadline(cost)
 
     # -- batch engine ---------------------------------------------------------
 
@@ -974,7 +787,7 @@ class FragmentEvaluator:
                         features=features,
                         is_clifford=fragment.is_clifford,
                         timeout=timeout,
-                        chaos=self.chaos,
+                        chaos=self.execution.chaos,
                     )
         return assignments, unique
 
@@ -988,8 +801,8 @@ class FragmentEvaluator:
         the root seed and the variant fingerprint, so results are
         bit-for-bit identical at any worker count.  Numpy-kernel backends
         keep the thread pool (and stay serial unless ``parallel`` > 1).
-        Execution goes through the :class:`_JobScheduler`, which owns the
-        retry / timeout / crash-healing / fallback policy.
+        Execution goes through the :class:`_JobScheduler`, which carries
+        out the fault policy's decisions.
         """
         if not jobs:
             self._last_degraded = set()
@@ -1018,35 +831,16 @@ class FragmentEvaluator:
             if method == "fork":
                 workers = os.cpu_count() or 1
         workers = min(workers, len(jobs))
-        handle = self.executor
-        kind = self.executor_kind
-        if handle is not None and hasattr(handle, "rebuild"):
-            # a SharedExecutorPool-style rebuildable handle
-            kind = getattr(handle, "kind", kind)
-        shared = (
-            handle is not None
-            and len(jobs) > 1
-            and (kind is None or kind == pool)
-        )
-        self.last_stats["pool"] = kind or pool if shared else pool
-        if shared:
-            # a long-lived executor shared across runs (sweep batches);
-            # only taken when its kind matches the jobs' resolved pool, so
-            # process-preferring backends never silently land on threads.
-            # The in-flight bound follows the shared pool's actual width.
-            workers = (
-                getattr(handle, "workers", None)
-                or getattr(handle, "_max_workers", None)
-                or max(workers, 1)
-            )
-        self.last_stats["workers"] = workers
-        scheduler = _JobScheduler(
-            self,
-            jobs,
-            pool=pool,
-            workers=workers,
-            shared=handle if shared else None,
-        )
+        # a pool shared across a batch (sweeps) is taken only when its kind
+        # matches the jobs' resolved pool, so process-preferring backends
+        # never silently land on threads; its width bounds the in-flight jobs
+        shared = self.executor
+        if shared is None or len(jobs) < 2 or shared.kind != pool:
+            shared = None
+        else:
+            workers = shared.workers
+        self.last_stats.update(pool=pool, workers=workers)
+        scheduler = _JobScheduler(self, jobs, pool, workers, shared)
         if shared or (workers > 1 and len(jobs) > 1):
             values = scheduler.run_parallel()
         else:

@@ -240,7 +240,6 @@ class SuperSim:
         self.variant_cache: VariantCache | None = resolve_cache(self.execution.cache)
         #: executor shared across batch points while a sweep is active
         self._batch_executor = None
-        self._batch_executor_kind: str | None = None
         self._default_router = None
         #: override for where deduplicated variant jobs execute — the
         #: service coordinator injects its dispatcher here (see
@@ -279,7 +278,6 @@ class SuperSim:
             cache=self.variant_cache,
             assignments=assignments,
             executor=self._batch_executor,
-            executor_kind=self._batch_executor_kind,
         )
 
     # -- plan stage -----------------------------------------------------------
@@ -729,12 +727,10 @@ class SuperSim:
         kind = "process" if self.execution.pool == "process" else "thread"
         handle = SharedExecutorPool(kind, self.execution.parallel)
         self._batch_executor = handle
-        self._batch_executor_kind = kind
         try:
             yield handle
         finally:
             self._batch_executor = None
-            self._batch_executor_kind = None
             handle.shutdown()
 
     # -- lifecycle ------------------------------------------------------------
@@ -762,8 +758,7 @@ class SuperSim:
         """
         handle = self._batch_executor
         self._batch_executor = None
-        self._batch_executor_kind = None
-        if handle is not None and hasattr(handle, "shutdown"):
+        if handle is not None:
             handle.shutdown()
         while self._owned_resources:
             resource = self._owned_resources.pop()

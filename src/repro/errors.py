@@ -103,8 +103,8 @@ class JobTimeoutError(ReproError):
     """A fragment variant exceeded its soft deadline too many times.
 
     The deadline derives from the calibrated cost model
-    (``Backend.estimate_cost`` x ``cost_scales`` x
-    ``ExecutionConfig.timeout_safety``) or from an explicit
+    (``Backend.estimate_cost`` x ``cost_scales``, through
+    :func:`repro.core.faults.soft_deadline`) or from an explicit
     ``ExecutionConfig.job_timeout``.
     """
 

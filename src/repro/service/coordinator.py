@@ -22,14 +22,16 @@ while the engine's own pipeline stays intact end to end:
    of a worker's jobs are ever in flight, which is the back-pressure
    that keeps one wide request from burying the fleet.
 3. **Fault mapping.**  A worker disconnect charges each of its in-flight
-   jobs one "crash" (the engine's heuristic attribution — innocent
-   bystanders are requeued, a job that outlives
-   ``max_job_crashes`` worker losses is quarantined); soft deadlines
-   become "timeout" events with redispatch (first result wins, late
-   duplicates are dropped); with no live workers at all the coordinator
-   degrades to local execution and records "fallback".  All of it lands
-   in the request's ``SuperSimResult.faults`` — the same ledger local
-   runs use.
+   jobs one "crash" (the engine's heuristic attribution), a missed soft
+   deadline one "timeout", and a worker whose retries ran out sends back
+   its terminal decision.  Every decision comes from
+   :func:`repro.core.faults.decide`, the policy the local engine uses;
+   the coordinator only carries it out — requeue after the backoff (a
+   redispatched job's first result wins), fall back to coordinator-local
+   execution, or fail the job with the typed error.  With no live
+   workers at all the coordinator also executes locally and records
+   "fallback".  All of it lands in the request's
+   ``SuperSimResult.faults`` — the same ledger local runs use.
 4. **Shared cache.**  Every request's engine is pointed at the
    coordinator's cache tier (any
    :class:`~repro.backends.tiers.CacheTier`), so concurrent sweeps from
@@ -74,14 +76,8 @@ import uuid
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.backends.cache import resolve_cache
-from repro.errors import (
-    BackendExecutionError,
-    FaultEvent,
-    FaultReport,
-    JobTimeoutError,
-    ServiceError,
-    WorkerCrashError,
-)
+from repro.core.faults import charge, execute_with_retries, policy_of
+from repro.errors import FaultEvent, FaultReport, ServiceError
 from repro.service.admission import AdmissionController
 from repro.service.journal import CoordinatorJournal
 from repro.service.protocol import read_message, write_message
@@ -128,8 +124,6 @@ class _PendingJob:
         "ctx",
         "future",
         "events",
-        "failures",
-        "crashes",
         "worker",
         "deadline",
     )
@@ -140,8 +134,6 @@ class _PendingJob:
         self.ctx = ctx
         self.future = future
         self.events: list[FaultEvent] = []
-        self.failures = 0
-        self.crashes = 0
         self.worker: int | None = None  # wid currently responsible
         self.deadline: float | None = None
 
@@ -158,27 +150,16 @@ class _PendingJob:
 
 
 class _RequestContext:
-    """Everything one admitted request carries through execution."""
+    """Everything one admitted request carries through execution,
+    including its fault policy (shipped to workers with every job)."""
 
-    __slots__ = ("tenant", "priority", "execution")
+    __slots__ = ("tenant", "priority", "execution", "policy", "limits")
 
     def __init__(self, tenant: str, priority: int, execution):
         self.tenant = tenant
         self.priority = int(priority)
         self.execution = execution
-
-    @property
-    def policy(self) -> str:
-        return self.execution.failure_policy
-
-    def worker_policy(self) -> dict:
-        """The retry budget shipped to workers with each job."""
-        retries = 0 if self.policy == "raise" else self.execution.max_retries
-        return {
-            "max_retries": retries,
-            "retry_backoff": self.execution.retry_backoff,
-            "retry_backoff_cap": self.execution.retry_backoff_cap,
-        }
+        self.policy, self.limits = policy_of(execution)
 
 
 class Coordinator:
@@ -556,44 +537,23 @@ class Coordinator:
         pending = self._jobs.pop(jid, None)
         if pending is None:
             return  # late duplicate after a timeout redispatch: first wins
-        pending.failures += int(message.get("failures", 0))
         pending.events.extend(message.get("faults", ()))
         self.counters["jobs_completed"] += 1
         if not pending.future.done():
             pending.future.set_result(message["value"])
 
     def _on_job_error(self, handle: _WorkerHandle, message: dict) -> None:
+        """The worker's retries ran out: carry out its terminal decision."""
         jid = message["jid"]
         handle.inflight.discard(jid)
         self._kick.set()
-        pending = self._jobs.pop(jid, None)
+        pending = self._jobs.get(jid)
         if pending is None:
             return
-        pending.failures += int(message.get("failures", 1))
+        decision = message["decision"]
+        pending.job.failures, pending.job.crashes = decision.failures, decision.crashes
         pending.events.extend(message.get("faults", ()))
-        cause = message.get("exception")
-        if pending.ctx.policy == "degrade":
-            # the worker exhausted its retry budget on the assigned
-            # backend; last resort is the coordinator's own CPU
-            pending.record(
-                "fallback",
-                detail=(
-                    f"worker {handle.name} exhausted retries "
-                    f"({message.get('error', '?')}); re-running on coordinator"
-                ),
-            )
-            self._spawn(self._run_local(pending))
-            return
-        exc = BackendExecutionError(
-            f"worker-side execution failed: {message.get('error', '?')}",
-            fragment_index=pending.job.fragment_index,
-            backend=pending.job.backend.name,
-            attempts=pending.failures + pending.crashes,
-        )
-        if isinstance(cause, BaseException):
-            exc.__cause__ = cause
-        if not pending.future.done():
-            pending.future.set_exception(exc)
+        self._act(pending, decision, f"worker {handle.name}")
 
     def _on_worker_lost(self, handle: _WorkerHandle) -> None:
         if not handle.alive:
@@ -610,64 +570,49 @@ class Coordinator:
                 continue
             pending.worker = None
             pending.deadline = None
-            pending.crashes += 1
-            pending.record(
-                "crash",
-                detail=(
-                    f"worker {handle.name} disconnected with this job in "
-                    f"flight"
-                ),
-            )
-            self._after_crash(pending, f"worker {handle.name} lost")
+            self._fault(pending, "crash", f"worker {handle.name}", "worker lost")
         handle.inflight.clear()
         self._kick.set()
 
-    def _after_crash(self, pending: _PendingJob, detail: str) -> None:
-        """Apply the crash policy to one charged job (engine semantics)."""
+    # -- fault policy ----------------------------------------------------------
+
+    def _fault(self, pending: _PendingJob, event: str, where: str, cause=None) -> None:
+        """Decide one fault of a job dispatched to ``where`` and carry the
+        decision out."""
         ctx = pending.ctx
-        if ctx.policy == "raise":
-            if not pending.future.done():
-                pending.future.set_exception(
-                    WorkerCrashError(
-                        f"worker crashed with this job in flight ({detail})",
-                        fragment_index=pending.job.fragment_index,
-                        backend=pending.job.backend.name,
-                        attempts=pending.failures + pending.crashes,
-                    )
-                )
-            self._jobs.pop(pending.jid, None)
-            return
-        if pending.crashes <= ctx.execution.max_job_crashes:
-            self._requeue(pending)
-            return
-        pending.record(
-            "quarantine",
-            detail=f"{pending.crashes} worker losses with this job in flight",
+        decision = charge(
+            ctx.policy, event, pending.job, ctx.limits, pending.events.append,
+            cause, where,
         )
-        if ctx.policy == "degrade":
+        self._act(pending, decision, where)
+
+    def _act(self, pending: _PendingJob, decision, where: str) -> None:
+        """Requeue after the backoff, fall back to coordinator-local
+        execution, or fail the job with the decision's error."""
+        if decision.action == "retry":
+            self._requeue(pending, decision.delay)
+        elif decision.action == "fallback":
             pending.record(
-                "fallback", detail="quarantined job re-running on coordinator"
+                "fallback",
+                detail=f"{decision.reason} ({where}); re-running on coordinator",
             )
             self._spawn(self._run_local(pending))
-            return
-        if not pending.future.done():
-            pending.future.set_exception(
-                WorkerCrashError(
-                    f"job quarantined after {pending.crashes} worker losses "
-                    f"({detail})",
-                    fragment_index=pending.job.fragment_index,
-                    backend=pending.job.backend.name,
-                    attempts=pending.failures + pending.crashes,
-                )
-            )
+        else:
+            self._fail(pending, decision.error)
+
+    def _fail(self, pending: _PendingJob, error: BaseException) -> None:
         self._jobs.pop(pending.jid, None)
+        if not pending.future.done():
+            pending.future.set_exception(error)
 
     # -- dispatch ------------------------------------------------------------
 
-    def _requeue(self, pending: _PendingJob) -> None:
-        # known prior failures feed the attempt counter, so a chaos
-        # schedule bounded by fail_attempts converges on redispatch
-        pending.job.attempt = pending.failures + pending.crashes
+    def _requeue(self, pending: _PendingJob, delay: float = 0.0) -> None:
+        if delay > 0:
+            self.loop.call_later(delay, self._requeue, pending)
+            return
+        if pending.jid not in self._jobs:
+            return  # its batch was abandoned while it backed off
         self.counters["jobs_requeued"] += 1
         heapq.heappush(
             self._queue, (pending.ctx.priority, next(self._seq), pending.jid)
@@ -727,7 +672,8 @@ class Coordinator:
                         "type": "job",
                         "jid": pending.jid,
                         "job": pending.job,
-                        "policy": pending.ctx.worker_policy(),
+                        "policy": pending.ctx.policy,
+                        "limits": pending.ctx.limits,
                     },
                 )
         except (ConnectionError, OSError):
@@ -746,43 +692,8 @@ class Coordinator:
                     handle.inflight.discard(pending.jid)
                 pending.worker = None
                 pending.deadline = None
-                ctx = pending.ctx
-                if ctx.policy == "raise":
-                    self._jobs.pop(pending.jid, None)
-                    if not pending.future.done():
-                        pending.future.set_exception(
-                            JobTimeoutError(
-                                "variant exceeded its soft deadline on a "
-                                "worker",
-                                timeout=pending.job.timeout,
-                                fragment_index=pending.job.fragment_index,
-                                backend=pending.job.backend.name,
-                            )
-                        )
-                    continue
-                pending.failures += 1
-                pending.record(
-                    "timeout",
-                    detail=(
-                        f"soft deadline {pending.job.timeout:.3g}s exceeded "
-                        f"on worker; redispatching"
-                    ),
-                )
-                if pending.failures <= ctx.execution.max_retries:
-                    self._requeue(pending)
-                else:
-                    self._jobs.pop(pending.jid, None)
-                    if not pending.future.done():
-                        pending.future.set_exception(
-                            JobTimeoutError(
-                                "soft deadline exceeded and retries "
-                                "exhausted",
-                                timeout=pending.job.timeout,
-                                fragment_index=pending.job.fragment_index,
-                                backend=pending.job.backend.name,
-                                attempts=pending.failures + pending.crashes,
-                            )
-                        )
+                where = f"worker {handle.name}" if handle is not None else "worker"
+                self._fault(pending, "timeout", where)
 
     # -- liveness & garbage collection ----------------------------------------
 
@@ -851,53 +762,30 @@ class Coordinator:
 
     # -- local (degraded) execution -----------------------------------------
 
-    def _execute_local(self, pending: _PendingJob):
-        from repro.core.evaluator import _execute_job
-
-        ctx = pending.ctx
-        job = pending.job
-        job.in_process = False  # a chaos crash must not kill the coordinator
-        retries = 0 if ctx.policy == "raise" else ctx.execution.max_retries
-        local_failures = 0
-        while True:
-            job.attempt = pending.failures + pending.crashes
-            try:
-                return _execute_job(job)
-            except Exception as exc:
-                pending.failures += 1
-                local_failures += 1
-                if local_failures > retries:
-                    raise
-                pending.record(
-                    "retry",
-                    detail=f"{type(exc).__name__}: {exc} (coordinator-local)",
-                )
-                backoff = ctx.execution.retry_backoff
-                if backoff > 0:
-                    time.sleep(
-                        min(
-                            ctx.execution.retry_backoff_cap,
-                            backoff * (2.0 ** (local_failures - 1)),
-                        )
-                    )
-
     async def _run_local(self, pending: _PendingJob) -> None:
+        """Run a job on this process, retrying per the request's policy.
+
+        The job keeps its failure and crash counts: the backend is the
+        same, only the place changed.
+        """
         self.counters["jobs_local"] += 1
+        ctx = pending.ctx
+        pending.job.in_process = False  # a chaos crash must not kill us
         try:
-            value = await self.loop.run_in_executor(
-                self._executor, self._execute_local, pending
+            value, decision = await self.loop.run_in_executor(
+                self._executor,
+                execute_with_retries,
+                pending.job,
+                ctx.policy,
+                ctx.limits,
+                pending.events.append,
+                "coordinator-local",
             )
-        except Exception as exc:
-            self._jobs.pop(pending.jid, None)
-            if not pending.future.done():
-                pending.future.set_exception(
-                    BackendExecutionError(
-                        f"coordinator-local execution failed: {exc!r}",
-                        fragment_index=pending.job.fragment_index,
-                        backend=pending.job.backend.name,
-                        attempts=pending.failures + pending.crashes,
-                    )
-                )
+        except Exception as exc:  # never leave the batch waiting
+            self._fail(pending, exc)
+            return
+        if decision is not None:
+            self._fail(pending, decision.error)
             return
         self._jobs.pop(pending.jid, None)
         self.counters["jobs_completed"] += 1

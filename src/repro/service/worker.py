@@ -8,14 +8,17 @@ loops: receive a pickled engine :class:`~repro.core.evaluator._Job`,
 execute it through the same module-level ``_execute_job`` the local
 pools use, send the :class:`~repro.core.evaluator.VariantData` back.
 
-The one policy fragment that *does* live here is exception retry: a
-transient backend failure is cheapest to retry where the job already is,
-so the worker retries locally up to the budget shipped with the job
-(same capped exponential backoff as the local scheduler) and reports the
-survived attempts as ``FaultEvent("retry")`` records alongside the
-result.  Everything else — crash accounting, quarantine, timeouts,
-degrade fallbacks — is the coordinator's job, because only it can see a
-worker die.
+A transient backend failure is cheapest to retry where the job already
+is, so the worker runs each job through
+:func:`repro.core.faults.execute_with_retries` with the fault policy,
+limits and failure counts shipped with it — the same decisions the local
+scheduler and the coordinator make.  Survived attempts travel back as
+``FaultEvent("retry")`` records alongside the result; when the policy
+stops retrying, the worker sends its terminal decision back in a
+``job_error`` frame and the coordinator carries it out (fall back to
+coordinator-local execution, or fail the job).  Crashes and soft
+deadlines are the coordinator's to decide, because only it can see a
+worker die or stall.
 
 A worker outlives its coordinator: on connection loss it rejoins with
 jittered exponential backoff (see :func:`run_worker`), answering the
@@ -39,51 +42,13 @@ import random
 import sys
 import threading
 import time
-import traceback
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.errors import ConnectionLostError, FaultEvent
+from repro.core.faults import execute_with_retries
+from repro.errors import ConnectionLostError
 from repro.service.protocol import Transport, backoff_delay, connect
 
 __all__ = ["run_worker", "main"]
-
-
-def _execute_with_retries(job, policy: dict):
-    """Run one job with worker-local exception retries.
-
-    Returns ``(value, fault_events, failures)``; raises the last
-    exception once the shipped retry budget is exhausted (the
-    coordinator turns that into a policy decision).  A chaos-simulated
-    crash is never caught here — with ``in_process=True`` it is an
-    ``os._exit`` and the process is already gone.
-    """
-    from repro.core.evaluator import _execute_job
-
-    max_retries = int(policy.get("max_retries", 0))
-    backoff = float(policy.get("retry_backoff", 0.0))
-    backoff_cap = float(policy.get("retry_backoff_cap", 0.0))
-    base_attempt = job.attempt
-    events: list[FaultEvent] = []
-    failures = 0
-    while True:
-        job.attempt = base_attempt + failures
-        try:
-            return _execute_job(job), events, failures
-        except Exception as exc:
-            failures += 1
-            if failures > max_retries:
-                raise
-            events.append(
-                FaultEvent(
-                    kind="retry",
-                    fragment_index=job.fragment_index,
-                    backend=job.backend.name,
-                    attempt=job.attempt,
-                    detail=f"{type(exc).__name__}: {exc} (worker-local)",
-                )
-            )
-            if backoff > 0:
-                time.sleep(min(backoff_cap, backoff * (2.0 ** (failures - 1))))
 
 
 def _serve_session(transport: Transport, name: str, slots: int) -> str:
@@ -110,39 +75,23 @@ def _serve_session(transport: Transport, name: str, slots: int) -> str:
     stop = threading.Event()
     outcome = "lost"
 
-    def handle(jid, job, policy):
+    def handle(message):
+        job = message["job"]
         job.in_process = True  # a chaos crash here is a real os._exit
-        started = time.monotonic()
-        try:
-            value, events, failures = _execute_with_retries(job, policy)
-        except Exception as exc:
-            if stop.is_set():
-                return
-            transport.send(
-                {
-                    "type": "job_error",
-                    "jid": jid,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "exception": exc,
-                    "traceback": traceback.format_exc(),
-                    "failures": int(policy.get("max_retries", 0)) + 1,
-                    "worker": name,
-                }
-            )
-            return
+        events: list = []
+        value, decision = execute_with_retries(
+            job, message["policy"], message["limits"], events.append, "worker-local"
+        )
         if stop.is_set():
             return
-        transport.send(
-            {
-                "type": "job_result",
-                "jid": jid,
-                "value": value,
-                "faults": events,
-                "failures": failures,
-                "elapsed": time.monotonic() - started,
-                "worker": name,
-            }
-        )
+        reply = {"jid": message["jid"], "faults": events, "worker": name}
+        if decision is not None:
+            reply.update(
+                type="job_error", error=str(decision.error), decision=decision
+            )
+        else:
+            reply.update(type="job_result", value=value)
+        transport.send(reply)
 
     try:
         while True:
@@ -160,12 +109,7 @@ def _serve_session(transport: Transport, name: str, slots: int) -> str:
                 transport.send({"type": "pong", "worker": name})
                 continue
             if kind == "job":
-                pool.submit(
-                    handle,
-                    message["jid"],
-                    message["job"],
-                    message.get("policy", {}),
-                )
+                pool.submit(handle, message)
                 continue
             # unknown message: protocol drift — say so rather than hang
             transport.send(

@@ -145,15 +145,6 @@ class ChaosSchedule:
             return ("delay", self.delay_seconds)
         return None
 
-    def faulted_fingerprints(self, fingerprints) -> list[str]:
-        """The subset of ``fingerprints`` this schedule faults on attempt 0.
-
-        Exact fault accounting for tests: with ``fail_attempts >= 1``,
-        every returned fingerprint produces exactly one first-attempt
-        fault event in a retrying run.
-        """
-        return [fp for fp in fingerprints if self.action_for(fp, 0) is not None]
-
 
 def perform_action(action: tuple, in_process_worker: bool = False) -> None:
     """Carry out one scheduled fault (called inside the worker).

@@ -25,6 +25,8 @@ from repro.core import (
     SuperSim,
     WorkerCrashError,
 )
+from repro.core.faults import RETRY_BACKOFF_CAP, Limits, backoff, decide
+from repro.errors import JobTimeoutError
 from repro.testing import ChaosBackend, ChaosSchedule, InjectedFault
 
 #: CI's chaos leg sets REPRO_CHAOS_POOL=process to re-run this suite with
@@ -101,6 +103,88 @@ class TestChaosSchedule:
 
         with pytest.raises(InjectedFault):
             perform_action(("raise", "boom"))
+
+
+#: the retry budget of the decide() table: 2 retries, 2 crashes, 0.1 s base
+LIMITS = Limits(max_retries=2, max_job_crashes=2, retry_backoff=0.1)
+ERRORS = {
+    "failure": BackendExecutionError,
+    "timeout": JobTimeoutError,
+    "crash": WorkerCrashError,
+}
+#: (event, prior failures, prior crashes, action, delay, attempts, kinds):
+#: each event at its limit (the budget's last retry, backed off
+#: 0.1 * 2**(2-1)) and just past it ("exhausted" = raise or fall back)
+AT_AND_PAST = [
+    ("failure", 1, 1, "retry", 0.2, None, ("retry",)),
+    ("failure", 2, 1, "exhausted", 0.0, 4, ()),
+    ("timeout", 1, 1, "retry", 0.2, None, ("timeout",)),
+    ("timeout", 2, 1, "exhausted", 0.0, 4, ()),
+    ("crash", 1, 1, "retry", 0.2, None, ("crash",)),
+    ("crash", 1, 2, "exhausted", 0.0, 4, ("crash", "quarantine")),
+]
+DECISIONS = [
+    # "raise" charges and records nothing, whatever the counts
+    ("raise", event, f, c, "raise", 0.0, f + c, ())
+    for event in ERRORS
+    for f, c in ((1, 1), (2, 2))
+] + [
+    (policy, event, f, c, action.replace("exhausted", out), delay, attempts, kinds)
+    for policy, out in (("retry", "raise"), ("degrade", "fallback"))
+    for event, f, c, action, delay, attempts, kinds in AT_AND_PAST
+]
+
+
+class TestDecide:
+    """The one fault policy, as a table: every policy x event kind."""
+
+    @pytest.mark.parametrize(
+        "policy,event,failures,crashes,action,delay,attempts,kinds", DECISIONS
+    )
+    def test_decision_table(
+        self, policy, event, failures, crashes, action, delay, attempts, kinds
+    ):
+        cause = InjectedFault("boom") if event == "failure" else None
+        decision = decide(
+            policy,
+            event,
+            failures,
+            crashes,
+            LIMITS,
+            fragment_index=3,
+            backend="mps",
+            cause=cause,
+            timeout=0.5,
+        )
+        assert decision.action == action
+        assert decision.delay == pytest.approx(delay)
+        assert tuple(kind for kind, _ in decision.events) == kinds
+        charged = policy != "raise"
+        assert decision.failures == failures + (charged and event != "crash")
+        assert decision.crashes == crashes + (charged and event == "crash")
+        if action == "retry":
+            assert decision.error is None
+            return
+        error = decision.error
+        assert type(error) is ERRORS[event]
+        assert error.fragment_index == 3
+        assert error.backend == "mps"
+        assert error.attempts == attempts
+        if event == "failure":
+            assert error.__cause__ is cause
+        if event == "timeout":
+            assert error.timeout == 0.5
+
+    def test_backoff_doubles_then_caps(self):
+        assert [backoff(n, 0.1) for n in (1, 2, 3)] == pytest.approx([0.1, 0.2, 0.4])
+        assert backoff(20, 0.1) == RETRY_BACKOFF_CAP
+        assert backoff(5, 0.0) == 0.0
+
+    def test_unknown_policy_or_event_rejected(self):
+        with pytest.raises(ValueError):
+            decide("panic", "failure", 0, 0, LIMITS)
+        with pytest.raises(ValueError):
+            decide("retry", "meltdown", 0, 0, LIMITS)
 
 
 class TestExecutionConfigValidation:

@@ -400,6 +400,92 @@ def test_no_workers_degrades_to_local_with_fallback_events():
     assert any("no live workers" in d for d in details)
 
 
+def ghz(n: int = 4) -> Circuit:
+    """An all-Clifford circuit: one fragment, one variant job."""
+    circuit = Circuit(n).append(gates.H, 0)
+    for q in range(n - 1):
+        circuit.append(gates.CX, q, q + 1)
+    circuit.measure_all()
+    return circuit
+
+
+def test_soft_deadline_redispatch_on_a_fleet():
+    # every job's first attempt stalls past its deadline on the worker;
+    # the coordinator redispatches it and the clean second copy wins
+    sampling = SamplingConfig(shots=300, seed=7)
+    execution = ExecutionConfig(
+        failure_policy="retry",
+        job_timeout=0.2,
+        retry_backoff=0.0,
+        chaos=ChaosSchedule(
+            seed=5, delay_rate=1.0, delay_seconds=0.6, fail_attempts=1
+        ),
+    )
+    circuit = rotated_chain(0.3)
+    clean = SuperSim(sampling=sampling).run(circuit)
+    # spare worker threads: a stalled copy keeps its thread after the
+    # coordinator has handed its credit to the redispatch
+    with Fleet(n_workers=1, slots=16, max_inflight_per_worker=4) as fleet:
+        with fleet.client(sampling=sampling, execution=execution) as client:
+            result = client.run(circuit)
+            stats = client.stats()
+    assert result.distribution.probs == clean.distribution.probs
+    assert set(result.faults.summary()) == {"timeout"}
+    assert result.faults.timeouts >= 1
+    assert stats["jobs_requeued"] >= result.faults.timeouts
+
+
+def test_quarantine_after_max_job_crashes_worker_losses():
+    # the only job kills every worker it reaches on its first two
+    # attempts: after max_job_crashes=1 requeue it is quarantined, and
+    # degrade re-runs it on the coordinator (attempt 2, clean)
+    sampling = SamplingConfig(shots=200, seed=3)
+    execution = ExecutionConfig(
+        failure_policy="degrade",
+        max_job_crashes=1,
+        retry_backoff=0.0,
+        chaos=ChaosSchedule(seed=5, crash_rate=1.0, fail_attempts=2),
+    )
+    circuit = ghz()
+    clean = SuperSim(sampling=sampling).run(circuit)
+    with Fleet(n_workers=2, max_inflight_per_worker=1) as fleet:
+        with fleet.client(sampling=sampling, execution=execution) as client:
+            result = client.run(circuit)
+    assert result.distribution.probs == clean.distribution.probs
+    assert result.faults.summary() == {"crash": 2, "quarantine": 1, "fallback": 1}
+    assert [e.kind for e in result.faults] == [
+        "crash",
+        "crash",
+        "quarantine",
+        "fallback",
+    ]
+
+
+def test_degrade_worker_out_of_retries_falls_back_to_coordinator():
+    # each job fails on the worker's attempts 0 and 1: one worker-local
+    # retry, then the worker reports its terminal "fallback" decision and
+    # the coordinator re-runs the job itself (attempt 2, clean)
+    sampling = SamplingConfig(shots=300, seed=11)
+    execution = ExecutionConfig(
+        failure_policy="degrade",
+        max_retries=1,
+        retry_backoff=0.0,
+        chaos=ChaosSchedule(seed=5, exception_rate=1.0, fail_attempts=2),
+    )
+    circuit = rotated_chain(0.45)
+    clean = SuperSim(sampling=sampling).run(circuit)
+    with Fleet(n_workers=2) as fleet:
+        with fleet.client(sampling=sampling, execution=execution) as client:
+            result = client.run(circuit)
+            stats = client.stats()
+    assert result.distribution.probs == clean.distribution.probs
+    jobs = result.cache_misses
+    assert jobs > 0
+    assert result.faults.summary() == {"retry": jobs, "fallback": jobs}
+    assert all("worker-local" in e.detail for e in result.faults.of_kind("retry"))
+    assert stats["jobs_local"] == jobs
+
+
 # -- shared cache across clients ---------------------------------------------
 
 
