@@ -66,11 +66,38 @@ class VariantData:
     """Results of one variant: outcome statistics over all fragment qubits.
 
     ``joint(cols)`` returns the (exact or empirical) distribution over the
-    selected bit columns, in the order given.
+    selected bit columns, in the order given; ``signed_outcomes`` is the
+    sign-weighted readout every tomography path consumes.
     """
 
     def joint(self, cols: list[int]) -> Distribution:
         raise NotImplementedError
+
+    def signed_outcomes(
+        self, kept_cols: list[int], out_cols: list[int], signs_mask: list[int]
+    ):
+        """Outcomes of the joint over ``kept_cols + out_cols``, Pauli-signed.
+
+        Returns ``(keys, signed, probs)`` aligned per outcome: the kept-bit
+        key (``int64``, first kept column most significant), the
+        probability times ``(-1)^(parity of the out_cols[j], j in
+        signs_mask)``, and the probability.  Keys may repeat; callers fold
+        them with ``np.bincount``.  ``None`` when the joint is wider than
+        one 62-bit key (callers keep their wide path then).
+        """
+        qo = len(out_cols)
+        if len(kept_cols) + qo > 62:
+            return None
+        dist = self.joint(list(kept_cols) + list(out_cols))
+        outcomes = dist.keys_array.astype(np.int64)
+        probs = dist.values_array
+        sign = np.ones(len(outcomes))
+        if signs_mask:
+            parity = np.zeros(len(outcomes), dtype=np.int64)
+            for j in signs_mask:
+                parity ^= (outcomes >> (qo - 1 - j)) & 1
+            sign = 1.0 - 2.0 * parity
+        return outcomes >> qo, probs * sign, probs
 
     def probability_at(self, cols: list[int], bits) -> float:
         """Point query: P(selected columns == bits)."""
@@ -89,6 +116,16 @@ class AffineVariantData(VariantData):
 
     def joint(self, cols: list[int]) -> Distribution:
         return self.affine.marginal_distribution(cols)
+
+    def signed_outcomes(
+        self, kept_cols: list[int], out_cols: list[int], signs_mask: list[int]
+    ):
+        # closed form: each kept outcome once, nothing of the joint listed
+        if len(kept_cols) + len(out_cols) > 62:
+            return None
+        return self.affine.signed_marginal(
+            list(kept_cols), [out_cols[j] for j in signs_mask]
+        )
 
     def probability_at(self, cols: list[int], bits) -> float:
         # avoids enumerating the (possibly huge) marginal support

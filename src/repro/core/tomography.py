@@ -12,6 +12,23 @@ at each quantum input (via the prepared-state decomposition in
 the matching measurement basis.  ``x`` ranges over the *kept* circuit-output
 bits of the fragment.
 
+Every tomography path (dense, conditioned and sparse) reads a variant
+through one primitive, :meth:`~repro.core.evaluator.VariantData.signed_outcomes`:
+per outcome, its kept-bit key, its probability signed by the measured
+Paulis, and its probability.  Sampled and dense variants list their joint
+distribution.  Exact Clifford variants use a **closed form** instead
+(:meth:`~repro.stabilizer.tableau.AffineOutcomeDistribution.signed_marginal`).
+A stabilizer measurement distribution is uniform on an affine subspace
+``{A f + b}`` (Aaronson & Gottesman 2004), and a measured-Pauli sign is
+the linear functional ``(-1)^(c.f + c0)``.  So one GF(2) echelon over the
+columns of ``[A_kept; c]``, pivoting on the kept coordinates first, gives
+the whole vector.  If a pivot lands on the sign row, the Pauli is
+balanced on every kept outcome and the vector is 0.  Otherwise the ``r``
+echelon generators enumerate the ``2^r`` kept outcomes, each at
+``+-2^-r``.  These are exactly the values the enumerated joint sums to,
+so tensors stay bit-identical, without listing the ``2^rank`` outcomes of
+the full joint.
+
 Two refinements live here as well:
 
 * **Clifford expectation snapping** (paper §IX): a stabilizer state's Pauli
@@ -30,6 +47,7 @@ import itertools
 
 import numpy as np
 
+from repro.analysis.distributions import pack_bit_rows
 from repro.core.evaluator import FragmentData
 from repro.core.variants import BASIS_FOR_PAULI, PREP_COEFFICIENTS
 
@@ -49,53 +67,6 @@ def _snap(value: float) -> float:
     if value < -0.5:
         return -1.0
     return 0.0
-
-
-def _split_signed_keys(dist, qo: int, signs_mask: list[int]):
-    """``(x_key, sign, probs)`` arrays of a joint (kept + measured) dist.
-
-    Outcome keys split into kept bits (high) and measured-Pauli bits
-    (low); the sign is the parity of the masked measurement bits.  Works
-    straight off the distribution's packed key/probability arrays — no
-    dict materialisation.  Requires single-word keys (``None`` otherwise;
-    callers keep the per-outcome loop for >62-bit joints).
-    """
-    if dist.n_bits > 62 or dist.chunked:
-        return None
-    outcomes = dist.keys_array.astype(np.int64)
-    probs = dist.values_array
-    x_key = outcomes >> qo
-    sign = np.ones(len(outcomes))
-    if signs_mask:
-        m_bits = outcomes & ((1 << qo) - 1)
-        parity = np.zeros(len(outcomes), dtype=np.int64)
-        for j in signs_mask:
-            parity ^= (m_bits >> (qo - 1 - j)) & 1
-        sign = 1.0 - 2.0 * parity
-    return x_key, sign, probs
-
-
-def _signed_vectors(
-    dist, n_kept: int, qo: int, signs_mask: list[int], need_weight: bool
-):
-    """(vec, weight) over kept outcomes, sign-weighted by measured Paulis.
-
-    Dense accumulator over all ``2^n_kept`` kept outcomes, filled with one
-    ``np.bincount`` per accumulator.  ``weight`` (the unsigned mass, used
-    only by Clifford snapping) is skipped unless requested.  Falls back to
-    ``None`` when keys exceed one word (callers keep the loop then).
-    """
-    if n_kept + qo > 62:
-        return None
-    split = _split_signed_keys(dist, qo, signs_mask)
-    if split is None:  # pragma: no cover - joint width checked above
-        return None
-    x_key, sign, probs = split
-    vec = np.bincount(x_key, weights=probs * sign, minlength=2**n_kept)
-    weight = None
-    if need_weight:
-        weight = np.bincount(x_key, weights=probs, minlength=2**n_kept)
-    return vec, weight
 
 
 def _snap_vector(vec: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -130,95 +101,56 @@ def build_fragment_tensor(
     fragment = data.fragment
     qi = len(fragment.quantum_inputs)
     qo = len(fragment.quantum_outputs)
-    out_cols = [lq for _cut, lq in fragment.quantum_outputs]
-    keep_cols = list(keep_locals)
-    n_kept = len(keep_cols)
-    snap = snap_clifford and fragment.is_clifford
-
-    # E[s_combo][P_out combo] -> vector over kept bits
-    raw = np.zeros((4,) * qi + (4,) * qo + (2**n_kept,))
-    for preps in itertools.product(range(4), repeat=qi):
-        for pauli_out in itertools.product(range(4), repeat=qo):
-            bases = tuple(BASIS_FOR_PAULI[p] for p in pauli_out)
-            dist = data.variant(preps, bases).joint(keep_cols + out_cols)
-            signs_mask = [j for j, p in enumerate(pauli_out) if p != 0]
-            need_weight = bool(snap and signs_mask)
-            pair = _signed_vectors(dist, n_kept, qo, signs_mask, need_weight)
-            if pair is not None:
-                vec, weight = pair
-            else:  # pragma: no cover - >62-bit dense keys cannot exist
-                vec = np.zeros(2**n_kept)
-                weight = np.zeros(2**n_kept)
-                for outcome, prob in dist:
-                    bits = dist.bits(outcome)
-                    x_key = 0
-                    for b in bits[:n_kept]:
-                        x_key = (x_key << 1) | b
-                    m_bits = bits[n_kept:]
-                    sign = 1.0
-                    for j in signs_mask:
-                        if m_bits[j]:
-                            sign = -sign
-                    vec[x_key] += prob * sign
-                    weight[x_key] += prob
-            if snap and signs_mask:
-                vec = _snap_vector(vec, weight)
-            raw[preps + pauli_out] = vec
-
-    tensor = _contract_prep_axes(raw, qi)
+    tensor = build_conditioned_fragment_tensor(data, keep_locals, {}, snap_clifford)
     if project and (qi or qo):
         tensor = project_physical(tensor, qi, qo)
     return tensor
 
 
 def _conditioned_signed_vector(
-    dist,
-    n_kept: int,
+    variant,
+    keep_cols: list[int],
+    fixed_cols: list[int],
     fixed_bits: list[int],
-    qo: int,
+    out_cols: list[int],
     signs_mask: list[int],
     need_weight: bool,
 ):
-    """(vec, weight) over kept outcomes of a (kept + fixed + measured) joint.
+    """(vec, weight) over kept outcomes, sign-weighted by measured Paulis.
 
-    Like :func:`_signed_vectors` but the ``len(fixed_bits)`` middle bits
-    of each outcome must match ``fixed_bits`` for the outcome to count —
-    the conditioning primitive of dynamic-definition reconstruction.  The
-    joint's *support* is what is iterated (bounded by the fragment width,
-    the paper's premise), never ``2**fragment_outputs``; only the
-    ``2**n_kept`` window accumulator is dense.
+    Only outcomes whose ``fixed_cols`` bits match ``fixed_bits`` count —
+    the conditioning primitive of dynamic-definition reconstruction (no
+    fixed columns: the plain tomography vector).  The variant's signed
+    support is what is iterated (for exact Clifford variants each kept
+    outcome once, see :meth:`VariantData.signed_outcomes`), never
+    ``2**fragment_outputs``; only the ``2**n_kept`` accumulator is dense.
+    ``weight`` (the unsigned mass, used only by Clifford snapping) is
+    skipped unless requested.
     """
+    n_kept = len(keep_cols)
     nf = len(fixed_bits)
-    probs = dist.values_array
-    if dist.n_bits <= 62 and not dist.chunked:
-        outcomes = dist.keys_array.astype(np.int64)
-        x_key = outcomes >> (nf + qo)
+    readout = variant.signed_outcomes(keep_cols + fixed_cols, out_cols, signs_mask)
+    if readout is not None:
+        keys, signed, probs = readout
         if nf:
             fixed_key = 0
             for bit in fixed_bits:
                 fixed_key = (fixed_key << 1) | bit
-            match = ((outcomes >> qo) & ((1 << nf) - 1)) == fixed_key
-            outcomes = outcomes[match]
+            match = (keys & ((1 << nf) - 1)) == fixed_key
+            keys = keys[match]
+            signed = signed[match]
             probs = probs[match]
-            x_key = x_key[match]
-        sign = np.ones(len(probs))
-        if signs_mask:
-            m_bits = outcomes & ((1 << qo) - 1)
-            parity = np.zeros(len(probs), dtype=np.int64)
-            for j in signs_mask:
-                parity ^= (m_bits >> (qo - 1 - j)) & 1
-            sign = 1.0 - 2.0 * parity
-        x_key = x_key.astype(np.int64)
+        x_key = keys >> nf
     else:
         # >62-bit joints: work off the sparse support's bit matrix
+        dist = variant.joint(keep_cols + fixed_cols + out_cols)
+        probs = dist.values_array
         bits = dist.bit_matrix()
         if nf:
             target = np.asarray(fixed_bits, dtype=bool)
             match = (bits[:, n_kept : n_kept + nf] == target).all(axis=1)
             bits = bits[match]
             probs = probs[match]
-        from repro.analysis.distributions import pack_bit_rows
-
         if n_kept:
             x_key = pack_bit_rows(bits[:, :n_kept]).astype(np.int64)
         else:
@@ -230,7 +162,8 @@ def _conditioned_signed_vector(
             for j in signs_mask:
                 parity ^= m_block[:, j].astype(np.int64)
             sign = 1.0 - 2.0 * parity
-    vec = np.bincount(x_key, weights=probs * sign, minlength=2**n_kept)
+        signed = probs * sign
+    vec = np.bincount(x_key, weights=signed, minlength=2**n_kept)
     weight = None
     if need_weight:
         weight = np.bincount(x_key, weights=probs, minlength=2**n_kept)
@@ -262,17 +195,21 @@ def build_conditioned_fragment_tensor(
     n_kept = len(keep_cols)
     snap = snap_clifford and fragment.is_clifford
 
+    # E[s_combo][P_out combo] -> vector over kept bits
     raw = np.zeros((4,) * qi + (4,) * qo + (2**n_kept,))
     for preps in itertools.product(range(4), repeat=qi):
         for pauli_out in itertools.product(range(4), repeat=qo):
             bases = tuple(BASIS_FOR_PAULI[p] for p in pauli_out)
-            dist = data.variant(preps, bases).joint(
-                keep_cols + fixed_cols + out_cols
-            )
             signs_mask = [j for j, p in enumerate(pauli_out) if p != 0]
             need_weight = bool(snap and signs_mask)
             vec, weight = _conditioned_signed_vector(
-                dist, n_kept, fixed_bits, qo, signs_mask, need_weight
+                data.variant(preps, bases),
+                keep_cols,
+                fixed_cols,
+                fixed_bits,
+                out_cols,
+                signs_mask,
+                need_weight,
             )
             if snap and signs_mask:
                 vec = _snap_vector(vec, weight)
@@ -314,13 +251,17 @@ class SparseKeyedVector:
         return bool(np.any(self.keys == key))
 
 
-def _signed_sparse_slice(dist, qo: int, signs_mask: list[int], snap: bool):
+def _signed_sparse_slice(
+    variant, keep_cols: list[int], out_cols: list[int], signs_mask: list[int], snap: bool
+):
     """``(keys, vals)`` of one variant's sign-weighted kept-outcome slice."""
-    if dist.n_bits <= 62 and not dist.chunked:
-        split = _split_signed_keys(dist, qo, signs_mask)
-        x_key, sign, probs = split
+    readout = variant.signed_outcomes(keep_cols, out_cols, signs_mask)
+    if readout is not None:
+        x_key, signed, probs = readout
     else:
         # >62-bit joints: object-dtype Python-int keys, same vector algebra
+        qo = len(out_cols)
+        dist = variant.joint(keep_cols + out_cols)
         outcomes = np.array(dist.key_ints(), dtype=object)
         probs = dist.values_array
         x_key = outcomes >> qo
@@ -331,8 +272,9 @@ def _signed_sparse_slice(dist, qo: int, signs_mask: list[int], snap: bool):
             for j in signs_mask:
                 parity ^= (m_bits >> (qo - 1 - j)) & 1
             sign = 1.0 - 2.0 * parity.astype(np.float64)
+        signed = probs * sign
     unique, inverse = np.unique(x_key, return_inverse=True)
-    vals = np.bincount(inverse, weights=probs * sign, minlength=len(unique))
+    vals = np.bincount(inverse, weights=signed, minlength=len(unique))
     if snap and signs_mask:
         weight = np.bincount(inverse, weights=probs, minlength=len(unique))
         live = weight > 0
@@ -368,10 +310,9 @@ def build_sparse_fragment_tensor(
     for preps in itertools.product(range(4), repeat=qi):
         for pauli_out in itertools.product(range(4), repeat=qo):
             bases = tuple(BASIS_FOR_PAULI[p] for p in pauli_out)
-            dist = data.variant(preps, bases).joint(keep_cols + out_cols)
             signs_mask = [j for j, p in enumerate(pauli_out) if p != 0]
             raw[preps + pauli_out] = _signed_sparse_slice(
-                dist, qo, signs_mask, snap
+                data.variant(preps, bases), keep_cols, out_cols, signs_mask, snap
             )
 
     # contract prep axes with the Pauli/preparation coefficient matrix:

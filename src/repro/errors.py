@@ -15,7 +15,9 @@ hierarchy here attaches that context:
   :class:`~repro.core.config.ExecutionConfig`) too many times;
 * :class:`WorkerCrashError` — a worker process died (segfault, OOM kill,
   ``BrokenProcessPool``) with this job in flight too many times, so the
-  job was quarantined as poison.
+  job was quarantined as poison;
+* :class:`SupportTooLargeError` — an exact outcome distribution has too
+  many outcomes to list one by one.
 
 Alongside the exceptions, :class:`FaultReport` is the ledger of every
 fault the engine *survived*: retries, timeouts, worker crashes, pool
@@ -127,6 +129,21 @@ class WorkerCrashError(ReproError):
     redistributed, and only a job that outlives ``max_job_crashes``
     worker losses raises this.
     """
+
+
+class SupportTooLargeError(ReproError, ValueError):
+    """An exact outcome distribution is too large to enumerate.
+
+    Raised by :class:`~repro.stabilizer.tableau.AffineOutcomeDistribution`
+    when listing its support (or a marginal's) would mean ``2^rank``
+    outcomes with ``rank`` above ``limit``.  Subclasses
+    :class:`ValueError`, so ``except ValueError`` still works.
+    """
+
+    def __init__(self, message: str, *, rank: int, limit: int, **context):
+        super().__init__(f"{message} (2^{rank} outcomes, limit 2^{limit})", **context)
+        self.rank = rank
+        self.limit = limit
 
 
 class ServiceError(ReproError):

@@ -33,6 +33,8 @@ functions of those bits.  Measuring every output qubit symbolically yields
 the exact outcome distribution as an affine subspace of ``F_2^m`` (see
 :class:`AffineOutcomeDistribution`), from which sampling is O(1)-ish per
 shot and exact probabilities are available without re-running the tableau.
+Pauli-signed marginals (what fragment tomography needs) are read off the
+affine form in closed form by :meth:`AffineOutcomeDistribution.signed_marginal`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import numpy as np
 from repro import kernels as _kernels
 from repro.analysis.distributions import Distribution
 from repro.circuits.circuit import Circuit
+from repro.errors import SupportTooLargeError
 from repro.paulis.pauli import PauliString
 
 _ONE = np.uint64(1)
@@ -53,6 +56,9 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 # gate names the packed engine applies natively (every other Clifford gate
 # goes through Gate.stabilizer_decomposition into H/S/CX)
 _NATIVE_GATES = frozenset({"H", "S", "CX", "X", "Y", "Z"})
+
+# widest affine image (as a GF(2) rank) a marginal may list point by point
+MAX_ENUMERATED_RANK = 24
 
 
 def _pack_bits(bits: np.ndarray, n_words: int | None = None) -> np.ndarray:
@@ -341,7 +347,9 @@ class AffineOutcomeDistribution:
         """Exact distribution by enumerating the ``2^k`` support points."""
         k = self.n_free
         if k > max_free:
-            raise ValueError(f"support of 2^{k} outcomes is too large to enumerate")
+            raise SupportTooLargeError(
+                "support is too large to enumerate", rank=k, limit=max_free
+            )
         return _enumerate_affine_image(
             self.A.T.astype(np.uint8), self.b, 2.0**-k
         )
@@ -399,14 +407,100 @@ class AffineOutcomeDistribution:
                 basis.append(r)
                 pivot_cols.append(int(nz[0]))
         rank = len(basis)
-        if rank > 24:
-            raise ValueError(f"marginal support 2^{rank} is too large")
+        if rank > MAX_ENUMERATED_RANK:
+            raise SupportTooLargeError(
+                "marginal support is too large", rank=rank, limit=MAX_ENUMERATED_RANK
+            )
         generators = (
             np.array(basis, dtype=np.uint8)
             if basis
             else np.zeros((0, m), dtype=np.uint8)
         )
         return _enumerate_affine_image(generators, sub_b, 2.0**-rank)
+
+    def signed_marginal(
+        self, rows: list[int], sign_rows: list[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Marginal over ``rows`` signed by the parity of the ``sign_rows`` bits.
+
+        Returns ``(keys, signed, probs)``: each point ``x`` of the marginal's
+        support once, in ascending order (``int64``, first row most
+        significant), its probability ``2^-r``, and ``signed`` =
+        ``E[(-1)^parity ; x]``.
+
+        Both are read off the affine form without listing the outcomes of
+        the full map.  The parity is the linear functional ``c.f + c0``
+        (``c``/``c0``: XOR of the sign rows of ``A``/``b``), so one GF(2)
+        echelon over the free-bit columns of ``[A_rows; c]``, pivoting on
+        the row coordinates first, decides everything:
+
+        * a pivot on the sign coordinate means the parity is not a function
+          of ``x``: on every fibre it is balanced, so ``signed`` is all 0;
+        * otherwise each of the ``r`` echelon generators carries its row
+          part and its sign bit, and the support is enumerated by XOR
+          doubling from ``(b_rows, c0)`` with the sign array doubled
+          alongside (copied or negated by the generator's sign bit).  With
+          the echelon fully reduced, the offset reduced by it, and the
+          generators taken in ascending pivot order, the keys come out
+          sorted.
+
+        Every value is exactly ``0`` or ``+-2^-r``, the same numbers a sum of
+        ``+-2^-rank`` terms over the enumerated joint produces.
+        """
+        n = len(rows)
+        if n > 62:
+            raise ValueError("signed_marginal keys hold at most 62 bits")
+        # column f of [A_rows; c] as one integer: row i at bit n - i, sign at bit 0
+        weights = np.left_shift(np.int64(1), np.arange(n, 0, -1, dtype=np.int64))
+        columns = self.A[rows].T.astype(np.int64) @ weights
+        c0 = False
+        if sign_rows:
+            columns |= np.bitwise_xor.reduce(self.A[sign_rows], axis=0)
+            c0 = bool(np.bitwise_xor.reduce(self.b[sign_rows]))
+        echelon: dict[int, int] = {}  # pivot bit -> generator
+        for v in columns.tolist():
+            while v:
+                pivot = v.bit_length() - 1
+                if pivot not in echelon:
+                    echelon[pivot] = v
+                    break
+                v ^= echelon[pivot]
+        pivots = sorted(p for p in echelon if p > 0)
+        rank = len(pivots)
+        if rank > MAX_ENUMERATED_RANK:
+            raise SupportTooLargeError(
+                "marginal support is too large", rank=rank, limit=MAX_ENUMERATED_RANK
+            )
+        # reduced echelon over the row pivots, and the offset reduced by it:
+        # XOR doubling in ascending pivot order then lists the keys sorted
+        generators: list[int] = []
+        for i, pivot in enumerate(pivots):
+            g = echelon[pivot]
+            for j in range(i - 1, -1, -1):
+                if g >> pivots[j] & 1:
+                    g ^= generators[j]
+            generators.append(g)
+        start = int(self.b[rows].astype(np.int64) @ weights) | int(c0)
+        for j in range(len(pivots) - 1, -1, -1):
+            if start >> pivots[j] & 1:
+                start ^= generators[j]
+        size = 1 << rank
+        keys = np.empty(size, dtype=np.int64)
+        keys[0] = start >> 1
+        signs = np.empty(size)
+        signs[0] = -1.0 if start & 1 else 1.0
+        for i, g in enumerate(generators):
+            half = 1 << i
+            np.bitwise_xor(keys[:half], g >> 1, out=keys[half : 2 * half])
+            if g & 1:
+                np.negative(signs[:half], out=signs[half : 2 * half])
+            else:
+                signs[half : 2 * half] = signs[:half]
+        probs = np.full(size, 2.0**-rank)
+        if 0 in echelon:
+            return keys, np.zeros(size), probs
+        signs *= 2.0**-rank
+        return keys, signs, probs
 
     def probability_of_partial(self, rows: list[int], bits) -> float:
         """Probability that the selected output bits take the given values.
